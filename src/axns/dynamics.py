@@ -82,8 +82,8 @@ def rhs(state: State, cfg: SolverConfig, t: float, forcing=None) -> Tendency:
         + 2.0 * u1.values * d_dz(u1).values
     )
     if forcing is not None:
-        du1 = du1 + forcing.f_u(g, t)
-        dom1 = dom1 + forcing.f_om(g, t)
+        du1 += forcing.f_u(g, t)
+        dom1 += forcing.f_om(g, t)
     return Tendency(ScalarField(g, du1, EVEN), ScalarField(g, dom1, EVEN))
 
 

@@ -24,10 +24,20 @@ Dirichlet treatment there, and the even powers of r make the axis ghost
 exact.  om1* is derived symbolically so the elliptic constraint holds in
 closed form, and the two forcing terms are the symbolic residuals of the
 evolution equations.
+
+Every field and forcing term is time-separable, sum_m exp(-m t) F_m(r, z)
+with m in {1, 2}: the fields decay like exp(-t), and advection and
+stretching are quadratic in them.  The forcing is expanded symbolically
+once per run, on first use, and each spatial factor F_m is sampled once
+per grid, so evaluating the forcing at a stage time costs two scalar
+exponentials and two array updates.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +96,7 @@ def init_scenario(scenario: Scenario, grid: Grid) -> State:
         u1 = ScalarField(grid, vals.copy(), EVEN)
         om1 = ScalarField(grid, vals.copy(), EVEN)
     elif name == "manufactured":
+        # nu enters only the forcing, which is never built here
         man = manufactured_solution(grid.spec, nu=1.0, scenario=scenario)
         u1 = ScalarField(grid, man.u1(grid, 0.0), EVEN)
         om1 = ScalarField(grid, man.om1(grid, 0.0), EVEN)
@@ -96,14 +107,39 @@ def init_scenario(scenario: Scenario, grid: Grid) -> State:
 
 
 class ManufacturedSolution:
-    """Closed-form fields and forcing, evaluated on demand."""
+    """Closed-form fields and forcing on one cylinder (R, Lz).
 
-    def __init__(self, fns: dict):
-        self._fns = fns
+    Every key has the form sum_m exp(-m t) F_m(r, z).  The factors of a key
+    are lambdified on its first use and sampled once per grid, so an
+    evaluation costs one scalar exp and one axpy per mode.
+    """
+
+    def __init__(self, R: float, Lz: float, modes):
+        self.R, self.Lz = R, Lz
+        self._modes = modes  # key -> [(m, F_m(r, z))], lambdified on first call
+        self._sampled: "weakref.WeakKeyDictionary[Grid, dict]" = weakref.WeakKeyDictionary()
+
+    def _factors(self, key: str, grid: Grid) -> list:
+        if (grid.spec.R, grid.spec.Lz) != (self.R, self.Lz):
+            raise ValueError(
+                f"manufactured solution was built for R = {self.R}, Lz = {self.Lz}; "
+                f"grid has R = {grid.spec.R}, Lz = {grid.spec.Lz}"
+            )
+        sampled = self._sampled.setdefault(grid, {})
+        if key not in sampled:
+            r, z = grid.r[:, None], grid.z[None, :]
+            shape = (grid.nr, grid.nz)
+            sampled[key] = [
+                (m, np.broadcast_to(fn(r, z), shape).astype(np.float64))
+                for m, fn in self._modes(key)
+            ]
+        return sampled[key]
 
     def _eval(self, key: str, grid: Grid, t: float) -> np.ndarray:
-        out = self._fns[key](grid.r[:, None], grid.z[None, :], t)
-        return np.broadcast_to(out, (grid.nr, grid.nz)).astype(np.float64).copy()
+        out = np.zeros((grid.nr, grid.nz))
+        for m, factor in self._factors(key, grid):
+            out += math.exp(-m * t) * factor
+        return out
 
     def u1(self, grid: Grid, t: float) -> np.ndarray:
         return self._eval("u1", grid, t)
@@ -124,11 +160,15 @@ class ManufacturedSolution:
 def manufactured_solution(
     spec: GridSpec, nu: float, scenario: Scenario | None = None
 ) -> ManufacturedSolution:
-    """Build the closed forms symbolically and lambdify them.
+    """Build the closed forms symbolically; lambdify each on first use.
 
     The forcing terms are the residuals of the two evolution equations on
     the prescribed fields, with velocities reconstructed from psi1*, so a
-    run forced this way has (u1*, om1*) as exact solution.
+    run forced this way has (u1*, om1*) as exact solution.  Time enters
+    only through the decay a = exp(-t): the fields are linear in a, d/dt is
+    -a d/da, and advection and stretching are quadratic, so each
+    expression splits into its coefficients of a and a^2.  The forcing is
+    derived and expanded only when first evaluated.
     """
     import sympy as sp
 
@@ -138,32 +178,40 @@ def manufactured_solution(
     k = int(scenario.mode_k)
     R, Lz = float(spec.R), float(spec.Lz)
 
-    r, z, t = sp.symbols("r z t", positive=True)
+    r, z, a = sp.symbols("r z a", positive=True)
     kz = 2 * sp.pi * k * z / Lz
-    decay = sp.exp(-t)
-    psi = sp.Rational(2, 5) * A * (1 - (r / R) ** 2) ** 4 * sp.cos(kz) * decay
-    u1 = A * (1 - (r / R) ** 2) ** 2 * sp.cos(kz + sp.Rational(7, 10)) * decay
+    psi = sp.Rational(2, 5) * A * (1 - (r / R) ** 2) ** 4 * sp.cos(kz) * a
+    u1 = A * (1 - (r / R) ** 2) ** 2 * sp.cos(kz + sp.Rational(7, 10)) * a
 
     def lap3(f):
         return sp.diff(f, r, 2) + 3 / r * sp.diff(f, r) + sp.diff(f, z, 2)
 
-    om1 = sp.expand(-lap3(psi))
-    vr = -r * sp.diff(psi, z)
-    vz = 2 * psi + r * sp.diff(psi, r)
+    exprs = {"psi1": psi, "u1": u1, "om1": sp.expand(-lap3(psi))}
 
-    def advect(f):
-        return vr * sp.diff(f, r) + vz * sp.diff(f, z)
+    def forcing() -> dict:
+        om1 = exprs["om1"]
+        vr = -r * sp.diff(psi, z)
+        vz = 2 * psi + r * sp.diff(psi, r)
 
-    f_u = sp.diff(u1, t) + advect(u1) - nu * lap3(u1) - 2 * u1 * sp.diff(psi, z)
-    f_om = sp.diff(om1, t) + advect(om1) - nu * lap3(om1) - 2 * u1 * sp.diff(u1, z)
+        def advect(f):
+            return vr * sp.diff(f, r) + vz * sp.diff(f, z)
 
-    fns = {}
-    for key, expr in (
-        ("psi1", psi),
-        ("u1", u1),
-        ("om1", om1),
-        ("f_u", sp.expand(f_u)),
-        ("f_om", sp.expand(f_om)),
-    ):
-        fns[key] = sp.lambdify((r, z, t), expr, modules="numpy")
-    return ManufacturedSolution(fns)
+        def d_dt(f):
+            return -a * sp.diff(f, a)
+
+        f_u = d_dt(u1) + advect(u1) - nu * lap3(u1) - 2 * u1 * sp.diff(psi, z)
+        f_om = d_dt(om1) + advect(om1) - nu * lap3(om1) - 2 * u1 * sp.diff(u1, z)
+        return {"f_u": sp.expand(f_u), "f_om": sp.expand(f_om)}
+
+    @functools.cache
+    def modes(key: str) -> list:
+        if key not in exprs:
+            exprs.update(forcing())
+        # collect keeps each coefficient term for term as in the expression
+        by_power = sp.collect(exprs[key], a, evaluate=False)
+        return [
+            (int(sp.degree(power, a)), sp.lambdify((r, z), coeff, modules="numpy"))
+            for power, coeff in by_power.items()
+        ]
+
+    return ManufacturedSolution(R, Lz, modes)
