@@ -19,7 +19,7 @@ from .diagnostics import (
     weighted_swirl_report,
 )
 from .dynamics import BlowUpError, SolverConfig, rhs, run, stable_dt, step
-from .elliptic import criteria_ratio, solve_stream, stream_residual
+from .elliptic import solve_stream, stream_residual
 from .grid import (
     EVEN,
     ODD,

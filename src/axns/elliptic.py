@@ -18,7 +18,6 @@ yields nonnegative psi1.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,21 +25,10 @@ from .grid import (
     EVEN,
     Grid,
     ScalarField,
-    d_dz,
     modified_laplacian,
     norm_l2,
     radial_bands,
 )
-
-
-@dataclass
-class EllipticReport:
-    """Outcome of one stream solve: discrete residual, mode count, and
-    optionally the ratio of the two weighted criteria integrals."""
-
-    residual_l2: float
-    modes: int
-    ratio_A_over_B: float | None = None
 
 
 class _StreamFactor:
@@ -107,37 +95,3 @@ def stream_residual(psi1: ScalarField, omega1: ScalarField) -> float:
         raise ValueError("stream_residual: fields live on different grids")
     res = omega1.values + modified_laplacian(psi1).values
     return norm_l2(ScalarField(psi1.grid, res, EVEN))
-
-
-def criteria_ratio(omega1: ScalarField) -> tuple[float, float, float]:
-    """Weighted criteria pair for one vorticity slice.
-
-    A = int (v_r)^2 / r^3 dx = 2 pi int (d_dz psi1)^2 dr dz
-    B = int (om_phi)^2 / r dx = 2 pi int r^2 om1^2 dr dz
-
-    Returns (A, B, A/B); (0, 0, 0) for the zero slice.  B = 0 with A > 0
-    cannot happen for a consistent solve and raises.
-    """
-    g = omega1.grid
-    psi1 = solve_stream(omega1)
-    line_w = 2.0 * np.pi * g.dr * g.dz
-    dpz = d_dz(psi1).values
-    A = float(line_w * np.sum(dpz * dpz))
-    om = omega1.values
-    B = float(line_w * np.sum((g.r[:, None] ** 2) * om * om))
-    if B == 0.0:
-        if A == 0.0:
-            return 0.0, 0.0, 0.0
-        raise RuntimeError("criteria_ratio: zero enstrophy weight with nonzero flow")
-    return A, B, A / B
-
-
-def stream_report(omega1: ScalarField, with_ratio: bool = False) -> EllipticReport:
-    psi1 = solve_stream(omega1)
-    res = stream_residual(psi1, omega1)
-    ratio = None
-    if with_ratio:
-        _, _, ratio = criteria_ratio(omega1)
-    return EllipticReport(
-        residual_l2=res, modes=omega1.grid.nz // 2 + 1, ratio_A_over_B=ratio
-    )

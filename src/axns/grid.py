@@ -71,9 +71,6 @@ class Grid:
     def nz(self) -> int:
         return self.spec.nz
 
-    def quad_weight(self, i: int) -> float:
-        return float(self.quad_w[i])
-
 
 def make_grid(spec: GridSpec) -> Grid:
     """Validate a GridSpec and build the mesh."""

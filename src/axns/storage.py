@@ -99,17 +99,19 @@ def read_snapshot(path) -> tuple[State, float]:
 
 def read_snapshot_dir(dirpath) -> list[tuple[State, float]]:
     """Read every *.axns file under dirpath, sorted by name, and check
-    that the sample times increase and nu is uniform."""
+    that the sample times increase and the grid and nu are uniform."""
     paths = sorted(Path(dirpath).glob("*.axns"))
     if not paths:
         raise ValueError(f"no snapshot files in {dirpath}")
     loaded = [read_snapshot(p) for p in paths]
-    nu0 = loaded[0][1]
+    spec0, nu0 = loaded[0][0].grid.spec, loaded[0][1]
     for (a, _), (b, nu) in zip(loaded, loaded[1:]):
         if b.t <= a.t:
             raise ValueError(
                 f"snapshot times not increasing in {dirpath}: {a.t} then {b.t}"
             )
+        if b.grid.spec != spec0:
+            raise ValueError(f"mixed grids in {dirpath}: {spec0} and {b.grid.spec}")
         if nu != nu0:
             raise ValueError(f"mixed nu values in {dirpath}: {nu0} and {nu}")
     return loaded

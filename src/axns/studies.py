@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
+from .diagnostics import criterion_A, criterion_B
 from .dynamics import SolverConfig, run, stable_dt, step
-from .elliptic import criteria_ratio, solve_stream, stream_residual
+from .elliptic import solve_stream, stream_residual
 from .grid import (
     EVEN,
     Grid,
@@ -138,12 +139,13 @@ def divergence_study(levels=(64, 128, 256), seed: int = 7, n_fields: int = 4):
 def ratio_ensemble(n_fields: int, grid: Grid, seed: int = 11) -> list[float]:
     """criterion A / criterion B ratios for random vorticity fields."""
     rng = np.random.default_rng(seed)
+    zero = zeros_field(grid)
     ratios = []
     for _ in range(n_fields):
         terms = random_bump_terms(rng, grid.spec.R, n_terms=2)
         om1 = bump_field(terms, grid)
-        _, _, ratio = criteria_ratio(om1)
-        ratios.append(ratio)
+        state = State(u1=zero, omega1=om1, psi1=solve_stream(om1), t=0.0)
+        ratios.append(criterion_A(state) / criterion_B(state))
     return ratios
 
 

@@ -1,18 +1,22 @@
-"""Self-check suites behind the ``verify`` subcommand.
+"""Acceptance checks: one table behind ``axns verify`` and the pytest gate.
 
-Each check prints one ``[pass]``/``[FAIL]`` line; a suite succeeds when
-every check passes.  The four reference runs (gaussian_ring and
-pure_swirl, nu in {0.05, 0.2}, 64x64, CFL 0.5, t_end 1) are shared by
-several suites and cached per process.
+``CHECKS`` holds every check as (suite, name, fn); ``fn()`` returns
+``(ok, detail)`` and is the one place its bound is written.  ``axns
+verify`` prints one ``[pass]``/``[FAIL]`` line per check of the chosen
+suites, and ``tests/test_acceptance.py`` runs each entry as one test.
+Inputs that several checks read, or that both gates compute in one
+process, are cached per process: the four reference runs (gaussian_ring
+and pure_swirl, nu in {0.05, 0.2}, 64x64, CFL 0.5, t_end 1), the
+refinement studies, the ratio ensemble and the offline-consistency run.
 """
 
 from __future__ import annotations
 
 import math
 import tempfile
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,22 +58,10 @@ ACCEPTANCE_CASES = tuple(
 )
 
 
-@dataclass
-class Reporter:
-    checks: list = field(default_factory=list)
-
-    def add(self, name: str, ok, detail: str = "") -> bool:
-        ok = bool(ok)
-        self.checks.append((name, ok))
-        line = f"[{'pass' if ok else 'FAIL'}] {name}"
-        if detail:
-            line += f"  ({detail})"
-        print(line)
-        return ok
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok in self.checks)
+class Check(NamedTuple):
+    suite: str
+    name: str
+    fn: Callable[[], tuple[bool, str]]
 
 
 def acceptance_scenario(name: str) -> Scenario:
@@ -80,7 +72,7 @@ def acceptance_scenario(name: str) -> Scenario:
     raise ValueError(f"no reference run for scenario {name!r}")
 
 
-@lru_cache(maxsize=None)
+@cache
 def acceptance_run(name: str, nu: float, n: int = 64):
     cfg = SolverConfig(
         nu=nu,
@@ -94,153 +86,136 @@ def acceptance_run(name: str, nu: float, n: int = 64):
     return cfg, final, series
 
 
-_INT_COLUMNS = (
-    "critA_int",
-    "critB_int",
-    "cfz_grad_int",
-    "cfz_l4_int",
-    "om1_grad_int",
-    "u1_l4_int",
-)
+_elliptic = cache(elliptic_study)
+_divergence = cache(divergence_study)
+_spatial = cache(dynamics_spatial_study)
+_temporal = cache(dynamics_temporal_study)
+_decay = cache(swirl_decay_error)
 
 
-def suite_ops(rep: Reporter) -> None:
-    g = make_grid(GridSpec(R=1.0, Lz=1.0, nr=48, nz=32))
+def _grid(nr: int, nz: int):
+    return make_grid(GridSpec(R=1.0, Lz=1.0, nr=nr, nz=nz))
+
+
+def _orders(errors, bound: float) -> tuple[bool, str]:
+    orders = observed_order(errors)
+    return min(orders) >= bound, "orders " + ", ".join(f"{o:.3f}" for o in orders)
+
+
+# ---- ops: quadrature, stencils, reconstruction, monitors, storage ----
+
+
+def _total_volume():
+    g = _grid(48, 32)
     vol = float(np.sum(g.quad_w)) * g.nz
     exact = np.pi * g.spec.R**2 * g.spec.Lz
-    rep.add(
-        "quadrature: total volume = pi R^2 Lz",
-        abs(vol - exact) <= 1e-12 * exact,
-        f"rel err {abs(vol - exact) / exact:.2e}",
-    )
+    rel = abs(vol - exact) / exact
+    return rel <= 1e-12, f"rel err {rel:.2e}"
+
+
+def _midpoint_r():
     # midpoint sum of r^2 has the closed form R^3/3 - R dr^2/12 per unit length
+    g = _grid(48, 32)
     got = integrate_volume(field_from_function(g, lambda r, z: r + 0.0 * z, EVEN))
     closed = 2.0 * np.pi * g.spec.Lz * (g.spec.R**3 / 3.0 - g.spec.R * g.dr**2 / 12.0)
-    rep.add(
-        "quadrature: int r dx matches midpoint closed form",
-        abs(got - closed) <= 1e-13 * abs(closed),
-        f"rel err {abs(got - closed) / closed:.2e}",
-    )
+    rel = abs(got - closed) / abs(closed)
+    return rel <= 1e-13, f"rel err {rel:.2e}"
 
-    rho, w, kz = 0.3, 0.15, 3
 
-    def f(r, z):
-        return (np.exp(-(((r - rho) / w) ** 2)) + np.exp(-(((r + rho) / w) ** 2))) * np.cos(
-            2.0 * np.pi * kz * z
-        )
+def _ring_probe(r, z):
+    """(f, df/dr, df/dz) for an even Gaussian ring pair times cos(6 pi z)."""
+    rho, w, kap = 0.3, 0.15, 6.0 * np.pi
+    a = np.exp(-(((r - rho) / w) ** 2))
+    b = np.exp(-(((r + rho) / w) ** 2))
+    f = (a + b) * np.cos(kap * z)
+    fr = (-2.0 * (r - rho) / w**2 * a - 2.0 * (r + rho) / w**2 * b) * np.cos(kap * z)
+    fz = (a + b) * (-kap * np.sin(kap * z))
+    return f, fr, fz
 
-    def fr(r, z):
-        return (
-            -2.0 * (r - rho) / w**2 * np.exp(-(((r - rho) / w) ** 2))
-            - 2.0 * (r + rho) / w**2 * np.exp(-(((r + rho) / w) ** 2))
-        ) * np.cos(2.0 * np.pi * kz * z)
 
-    def fz(r, z):
-        return (
-            np.exp(-(((r - rho) / w) ** 2)) + np.exp(-(((r + rho) / w) ** 2))
-        ) * (-2.0 * np.pi * kz * np.sin(2.0 * np.pi * kz * z))
-
-    errs_r, errs_z = [], []
+def _stencil_order(deriv, k: int):
+    """Observed order of deriv against component k of the ring probe."""
+    errs = []
     for n in (32, 64, 128):
-        gn = make_grid(GridSpec(R=1.0, Lz=1.0, nr=n, nz=n))
-        fld = field_from_function(gn, f, EVEN)
-        err_r = ScalarField(gn, d_dr(fld).values - field_from_function(gn, fr, EVEN).values, EVEN)
-        err_z = ScalarField(gn, d_dz(fld).values - field_from_function(gn, fz, EVEN).values, EVEN)
-        errs_r.append(norm_l2(err_r))
-        errs_z.append(norm_l2(err_z))
-    ords_r = observed_order(errs_r)
-    ords_z = observed_order(errs_z)
-    rep.add(
-        "stencils: radial derivative order >= 1.9",
-        min(ords_r) >= 1.9,
-        "orders " + ", ".join(f"{o:.3f}" for o in ords_r),
-    )
-    rep.add(
-        "stencils: axial derivative order >= 1.9",
-        min(ords_z) >= 1.9,
-        "orders " + ", ".join(f"{o:.3f}" for o in ords_z),
-    )
+        g = _grid(n, n)
+        probe = _ring_probe(g.r[:, None], g.z[None, :])
+        got = deriv(ScalarField(g, probe[0], EVEN)).values
+        errs.append(norm_l2(ScalarField(g, got - probe[k], EVEN)))
+    return _orders(errs, 1.9)
 
+
+def _axial_skew():
+    g = _grid(48, 32)
     rng = np.random.default_rng(3)
     a = ScalarField(g, rng.standard_normal((g.nr, g.nz)), EVEN)
     b = ScalarField(g, rng.standard_normal((g.nr, g.nz)), EVEN)
     lhs = integrate_volume(ScalarField(g, d_dz(a).values * b.values, EVEN))
     rhs = -integrate_volume(ScalarField(g, a.values * d_dz(b).values, EVEN))
-    scale = norm_l2(a) * norm_l2(b)
-    rep.add(
-        "axial derivative is skew-adjoint under the quadrature",
-        abs(lhs - rhs) <= 1e-12 * scale,
-        f"defect {abs(lhs - rhs):.2e}",
-    )
-
-    div = divergence_study()
-    div_orders = observed_order(div)
-    rep.add(
-        "divergence residual of reconstructed velocity: order >= 1.9",
-        min(div_orders) >= 1.9,
-        "orders " + ", ".join(f"{o:.3f}" for o in div_orders),
-    )
-
-    gq = make_grid(GridSpec(R=1.0, Lz=1.0, nr=24, nz=24))
-    rngq = np.random.default_rng(17)
-    bad = 0
-    for _ in range(1000):
-        terms = random_bump_terms(rngq, gq.spec.R)
-        st = State(
-            u1=bump_field(terms, gq),
-            omega1=zeros_field(gq),
-            psi1=zeros_field(gq),
-            t=0.0,
-        )
-        lhsq, rhsq = quartic_check(st)
-        if not lhsq <= rhsq:
-            bad += 1
-    rep.add(
-        "quartic bound lhs <= rhs on 1000 random states, no tolerance",
-        bad == 0,
-        f"{bad} violations",
-    )
-
-    _check_lpq(rep, g)
-    _check_offline_consistency(rep)
+    return abs(lhs - rhs) <= 1e-12 * norm_l2(a) * norm_l2(b), f"defect {abs(lhs - rhs):.2e}"
 
 
-def _check_lpq(rep: Reporter, g) -> None:
-    c, T = 1.375, 1.1
-    vol = float(np.sum(g.quad_w)) * g.nz
-    samples = [(t, ScalarField(g, np.full((g.nr, g.nz), c), EVEN)) for t in (0.0, 0.4 * T, T)]
-    worst = 0.0
-    for p, q in ((2.0, 2.0), (4.0, 3.0), (math.inf, 2.0), (2.0, math.inf), (math.inf, math.inf)):
-        got = lpq_norm(samples, p, q)
-        vp = 1.0 if math.isinf(p) else vol ** (1.0 / p)
-        tq = 1.0 if math.isinf(q) else T ** (1.0 / q)
-        expect = c * vp * tq
-        worst = max(worst, abs(got - expect) / expect)
-    rep.add(
-        "space-time norm of constant field = c V^(1/p) T^(1/q)",
-        worst <= 1e-12,
-        f"worst rel err {worst:.2e}",
-    )
-    # two-level step in time: symmetric sampling makes the trapezoid exact
-    c1, c2, delta = 0.75, 1.5, 1e-3
-    p, q = 2.0, 3.0
-    mk = lambda v: ScalarField(g, np.full((g.nr, g.nz), v), EVEN)
-    step_samples = [
-        (0.0, mk(c1)),
-        (T / 2 - delta, mk(c1)),
-        (T / 2 + delta, mk(c2)),
-        (T, mk(c2)),
+def _quartic():
+    """Two families of swirl fields: bump sums (seed 17) and white noise
+    scaled by 10^U(-3, 3) (seed 20240817)."""
+    g = _grid(24, 24)
+    zero = zeros_field(g)
+    bumps = np.random.default_rng(17)
+    noise = np.random.default_rng(20240817)
+    fields = [bump_field(random_bump_terms(bumps, g.spec.R), g) for _ in range(1000)]
+    fields += [
+        ScalarField(g, 10.0 ** noise.uniform(-3, 3) * noise.standard_normal((g.nr, g.nz)), EVEN)
+        for _ in range(1000)
     ]
-    got = lpq_norm(step_samples, p, q)
-    expect = ((c1**q + c2**q) * vol ** (q / p) * T / 2.0) ** (1.0 / q)
-    rep.add(
-        "space-time norm of a two-level step matches the closed form",
-        abs(got - expect) <= 1e-12 * expect,
-        f"rel err {abs(got - expect) / expect:.2e}",
+    bad = 0
+    for u1 in fields:
+        lhs, rhs = quartic_check(State(u1=u1, omega1=zero, psi1=zero, t=0.0))
+        bad += not lhs <= rhs
+    return bad == 0, f"{bad} violations in 1000 bump and 1000 noise states"
+
+
+def _lpq_constant():
+    """Every (p, q) pair on two constant series: on a 48x32 grid and on a
+    32x32 grid, each with its own value, sample times and horizon T."""
+    inf = math.inf
+    pairs = (
+        (2.0, 2.0),
+        (4.0, 3.0),
+        (4.0, 2.0),
+        (3.0, 7.0),
+        (inf, 2.0),
+        (2.0, inf),
+        (inf, 3.0),
+        (inf, inf),
     )
+    errs = []
+    for nr, nz, c, times in ((48, 32, 1.375, (0.0, 0.44, 1.1)), (32, 32, 0.75, (0.0, 0.8, 2.0))):
+        g = _grid(nr, nz)
+        samples = [(t, ScalarField(g, np.full((nr, nz), c), EVEN)) for t in times]
+        vol = np.pi * g.spec.R**2 * g.spec.Lz
+        for p, q in pairs:
+            vp = 1.0 if math.isinf(p) else vol ** (1.0 / p)
+            tq = 1.0 if math.isinf(q) else times[-1] ** (1.0 / q)
+            errs.append(abs(lpq_norm(samples, p, q) - c * vp * tq) / (c * vp * tq))
+    return all(e <= 1e-12 for e in errs), f"worst rel err {max(errs):.2e}"
 
 
-def _check_offline_consistency(rep: Reporter) -> None:
+def _lpq_step():
+    # two-level step in time: symmetric sampling makes the trapezoid exact
+    g = _grid(48, 32)
+    c1, c2, delta, T = 0.75, 1.5, 1e-3, 1.1
+    p, q = 2.0, 3.0
+    vol = float(np.sum(g.quad_w)) * g.nz
+    times = ((0.0, c1), (T / 2 - delta, c1), (T / 2 + delta, c2), (T, c2))
+    samples = [(t, ScalarField(g, np.full((g.nr, g.nz), c), EVEN)) for t, c in times]
+    got = lpq_norm(samples, p, q)
+    expect = ((c1**q + c2**q) * vol ** (q / p) * T / 2.0) ** (1.0 / q)
+    return abs(got - expect) <= 1e-12 * expect, f"rel err {abs(got - expect) / expect:.2e}"
+
+
+@cache
+def _offline_run():
+    """Rows of a short live run, of the same series recomputed from its
+    snapshots, and of its series.csv read back."""
     cfg = SolverConfig(
         nu=0.1,
         cfl=0.5,
@@ -251,190 +226,224 @@ def _check_offline_consistency(rep: Reporter) -> None:
     )
     with tempfile.TemporaryDirectory() as tmp:
         _, live, _ = run(cfg, out_dir=tmp)
-        loaded = read_snapshot_dir(Path(tmp) / "snapshots")
-        offline = diagnostics.CriteriaSeries.bare(nu=cfg.nu, s=cfg.s)
-        for st, nu in loaded:
+        offline = CriteriaSeries.bare(nu=cfg.nu, s=cfg.s)
+        for st, nu in read_snapshot_dir(Path(tmp) / "snapshots"):
             diagnostics.sample(st, offline, nu)
         stored = read_series(Path(tmp) / "series.csv")
-    worst = 0.0
-    ok = len(offline.rows) == len(live.rows) >= 3
-    for a, b in zip(live.rows, offline.rows):
-        for col in COLUMNS:
-            va, vb = getattr(a, col), getattr(b, col)
-            scale = max(abs(va), abs(vb), 1e-300)
-            worst = max(worst, abs(va - vb) / scale)
-    ok = ok and worst <= 1e-12
-    rep.add(
-        "offline recomputation from snapshots matches the live series",
-        ok,
-        f"{len(live.rows)} rows, worst rel diff {worst:.2e}",
-    )
-    exact = all(
-        getattr(a, col) == getattr(b, col)
-        for a, b in zip(live.rows, stored)
-        for col in COLUMNS
-    )
-    rep.add("series CSV round trip is value-exact", exact)
-    mono = all(
-        getattr(a, col) <= getattr(b, col)
-        for a, b in zip(live.rows, live.rows[1:])
-        for col in _INT_COLUMNS
-    )
-    rep.add("running integrals are nondecreasing", mono)
+    return live.rows, offline.rows, stored
 
 
-def suite_elliptic(rep: Reporter) -> None:
-    errors, residuals = elliptic_study()
-    orders = observed_order(errors)
-    rep.add(
-        "stream solve recovers the closed-form solution at order >= 1.9",
-        min(orders) >= 1.9,
-        "orders " + ", ".join(f"{o:.3f}" for o in orders),
-    )
-    rep.add(
-        "stream solve residual <= 1e-10 of the source norm",
-        max(residuals) <= 1e-10,
-        f"worst {max(residuals):.2e}",
-    )
+def _table(rows) -> np.ndarray:
+    return np.array([[getattr(row, col) for col in COLUMNS] for row in rows])
+
+
+def _offline_matches_live():
+    live, offline, _ = _offline_run()
+    if not len(offline) == len(live) >= 3:
+        return False, f"{len(live)} live rows, {len(offline)} offline rows"
+    a, b = _table(live), _table(offline)
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+    worst = float(np.max(np.abs(a - b) / scale))
+    return worst <= 1e-12, f"{len(live)} rows, worst rel diff {worst:.2e}"
+
+
+def _csv_round_trip():
+    live, offline, stored = _offline_run()
+    ok = len(stored) == len(live) == len(offline) >= 3
+    return ok and np.array_equal(_table(live), _table(stored)), f"{len(stored)} rows stored"
+
+
+def _integrals_nondecreasing():
+    live, _, _ = _offline_run()
+    cols = [k for k, col in enumerate(COLUMNS) if col.endswith("_int")]
+    ints = _table(live)[:, cols]
+    return bool(np.all(ints[:-1] <= ints[1:])), ""
+
+
+# ---- elliptic: the stream solve ----
+
+
+def _elliptic_residual():
+    residuals = _elliptic()[1]
+    return all(r <= 1e-10 for r in residuals), f"worst {max(residuals):.2e}"
+
+
+def _random_sources():
+    g = _grid(48, 32)
     rng = np.random.default_rng(23)
-    worst = 0.0
-    g = make_grid(GridSpec(R=1.0, Lz=1.0, nr=48, nz=32))
-    for _ in range(5):
-        om = bump_field(random_bump_terms(rng, g.spec.R), g)
-        psi = solve_stream(om)
-        worst = max(worst, stream_residual(psi, om) / norm_l2(om))
-    rep.add(
-        "stream solve residual on random sources <= 1e-10",
-        worst <= 1e-10,
-        f"worst {worst:.2e}",
+    return [bump_field(random_bump_terms(rng, g.spec.R), g) for _ in range(6)]
+
+
+def _random_source_residual():
+    res = [stream_residual(solve_stream(om), om) / norm_l2(om) for om in _random_sources()]
+    return all(r <= 1e-10 for r in res), f"worst {max(res):.2e}"
+
+
+def _nonnegative_psi():
+    floors = []
+    for om in _random_sources():
+        psi = solve_stream(ScalarField(om.grid, np.abs(om.values), EVEN)).values
+        floors.append(float(np.min(psi)) / float(np.max(np.abs(psi))))
+    return all(f >= -1e-13 for f in floors), f"min psi / max |psi| {min(floors):.2e}"
+
+
+# ---- energy, maxprinciple, lemma33: along the four reference runs ----
+
+
+def _rows(name: str, nu: float):
+    return acceptance_run(name, nu)[2].rows
+
+
+def _energy_monotone(name, nu):
+    rows = _rows(name, nu)
+    return all(b.E <= a.E * (1.0 + 1e-9) for a, b in zip(rows, rows[1:])), ""
+
+
+def _energy_balance(name, nu):
+    rows = _rows(name, nu)
+    E0 = rows[0].E
+    t = np.array([r.t for r in rows])
+    D = np.array([r.D for r in rows])
+    diss = float(np.sum(0.5 * np.diff(t) * (D[1:] + D[:-1])))
+    defect = abs(rows[-1].E - E0 + nu * diss)
+    return defect <= 1e-3 * E0, f"defect {defect / E0:.2e} of E(0)"
+
+
+def _energy_drop(name, nu):
+    rows = _rows(name, nu)
+    E0 = rows[0].E
+    ok = all(
+        b.E - a.E <= -0.5 * nu * min(a.D, b.D) * (b.t - a.t) + 1e-6 * E0
+        for a, b in zip(rows, rows[1:])
     )
-    om = bump_field(random_bump_terms(rng, g.spec.R), g)
-    om = ScalarField(g, np.abs(om.values), EVEN)
-    psi = solve_stream(om)
-    floor = -1e-13 * float(np.max(np.abs(psi.values)))
-    rep.add(
-        "nonnegative vorticity gives nonnegative stream function",
-        float(np.min(psi.values)) >= floor,
-        f"min psi {float(np.min(psi.values)):.2e}",
-    )
+    return ok, ""
 
 
-def suite_energy(rep: Reporter) -> None:
-    for name, nu in ACCEPTANCE_CASES:
-        _, _, series = acceptance_run(name, nu)
-        rows = series.rows
-        E0 = rows[0].E
-        mono = all(b.E <= a.E * (1.0 + 1e-9) for a, b in zip(rows, rows[1:]))
-        rep.add(f"{name} nu={nu}: energy non-increasing row to row", mono)
-        t = np.array([r.t for r in rows])
-        D = np.array([r.D for r in rows])
-        diss = float(np.sum(0.5 * np.diff(t) * (D[1:] + D[:-1])))
-        defect = abs(rows[-1].E - E0 + nu * diss)
-        rep.add(
-            f"{name} nu={nu}: |E(T) - E(0) + nu int D| <= 1e-3 E(0)",
-            defect <= 1e-3 * E0,
-            f"defect {defect / E0:.2e} of E(0)",
-        )
-        drop_ok = all(
-            b.E - a.E <= -0.5 * nu * min(a.D, b.D) * (b.t - a.t) + 1e-6 * E0
-            for a, b in zip(rows, rows[1:])
-        )
-        rep.add(f"{name} nu={nu}: per-row drop covers half the predicted dissipation", drop_ok)
-        lhs, rhs = omega1_budget(series, nu)
-        margin = float(np.max(lhs - 1.01 * rhs))
-        rep.add(
-            f"{name} nu={nu}: vorticity budget lhs <= 1.01 rhs at every row",
-            bool(np.all(lhs <= 1.01 * rhs)),
-            f"max excess {margin:.2e}",
-        )
+def _vorticity_budget(name, nu):
+    lhs, rhs = omega1_budget(acceptance_run(name, nu)[2], nu)
+    excess = float(np.max(lhs - 1.01 * rhs))
+    return bool(np.all(lhs <= 1.01 * rhs)), f"max excess {excess:.2e}"
 
 
-def suite_maxprinciple(rep: Reporter) -> None:
-    for name, nu in ACCEPTANCE_CASES:
-        _, _, series = acceptance_run(name, nu)
-        rows = series.rows
-        sup0 = rows[0].swirl_sup
-        worst = max(r.swirl_sup for r in rows)
-        rep.add(
-            f"{name} nu={nu}: swirl maximum never exceeds its initial value",
-            worst <= (1.0 + 1e-10) * sup0,
-            f"max/initial - 1 = {worst / sup0 - 1.0:.2e}",
-        )
+def _swirl_maximum(name, nu):
+    rows = _rows(name, nu)
+    sup0 = rows[0].swirl_sup
+    ok = all(r.swirl_sup <= (1.0 + 1e-10) * sup0 for r in rows)
+    worst = max(r.swirl_sup for r in rows)
+    return ok, f"max/initial - 1 = {worst / sup0 - 1.0:.2e}"
 
 
-def suite_lemma33(rep: Reporter) -> None:
-    g64 = make_grid(GridSpec(R=1.0, Lz=1.0, nr=64, nz=64))
-    g128 = make_grid(GridSpec(R=1.0, Lz=1.0, nr=128, nz=128))
-    r64 = ratio_ensemble(100, g64, seed=11)
-    r128 = ratio_ensemble(100, g128, seed=11)
-    rep.add(
-        "criteria ratio <= 2.0 on the 100-field ensemble",
-        max(r64) <= 2.0 and max(r128) <= 2.0,
-        f"max {max(r64):.3f} (64), {max(r128):.3f} (128)",
-    )
-    drift = abs(max(r128) - max(r64)) / max(r64)
-    rep.add(
-        "ensemble max ratio moves < 5% under refinement",
-        drift < 0.05,
-        f"drift {drift:.2%}",
-    )
-    for name, nu in ACCEPTANCE_CASES:
-        _, _, series = acceptance_run(name, nu)
-        ok = True
-        worst = 0.0
-        for row in series.rows:
-            if row.critB > 0.0:
-                worst = max(worst, row.critA / row.critB)
-                ok = ok and row.critA <= 2.0 * row.critB
-            else:
-                ok = ok and row.critA == 0.0
-        rep.add(
-            f"{name} nu={nu}: criteria ratio <= 2.0 along the run",
-            ok,
-            f"max ratio {worst:.3f}",
-        )
+def _run_ratio(name, nu):
+    ok, worst = True, 0.0
+    for row in _rows(name, nu):
+        if row.critB > 0.0:
+            worst = max(worst, row.critA / row.critB)
+            ok = ok and row.critA <= 2.0 * row.critB
+        else:
+            ok = ok and row.critA == 0.0
+    return ok, f"max ratio {worst:.3f}"
 
 
-def suite_mms(rep: Reporter) -> None:
-    spatial = dynamics_spatial_study()
-    sp_orders = observed_order(spatial)
-    rep.add(
-        "forced-run recovery: spatial order >= 1.9",
-        min(sp_orders) >= 1.9,
-        "orders " + ", ".join(f"{o:.3f}" for o in sp_orders),
-    )
-    temporal = dynamics_temporal_study()
-    t_orders = observed_order(temporal)
-    rep.add(
-        "forced-run recovery: temporal order >= 2.9",
-        min(t_orders) >= 2.9,
-        "orders " + ", ".join(f"{o:.3f}" for o in t_orders),
-    )
-    decay = swirl_decay_error()
-    rep.add(
+@cache
+def _ensemble_maxima():
+    return tuple(max(ratio_ensemble(100, _grid(n, n), seed=11)) for n in (64, 128))
+
+
+def _ensemble_bounded():
+    m64, m128 = _ensemble_maxima()
+    return m64 <= 2.0 and m128 <= 2.0, f"max {m64:.3f} (64), {m128:.3f} (128)"
+
+
+def _ensemble_drift():
+    m64, m128 = _ensemble_maxima()
+    drift = abs(m128 - m64) / m64
+    return drift < 0.05, f"drift {drift:.2%}"
+
+
+def _swirl_decay():
+    decay = _decay()
+    return decay <= 1e-3, f"rel err {decay:.2e}"
+
+
+def _per_run(suite: str, checks) -> list[Check]:
+    return [
+        Check(suite, f"{name} nu={nu}: {label}", partial(fn, name, nu))
+        for name, nu in ACCEPTANCE_CASES
+        for label, fn in checks
+    ]
+
+
+CHECKS: tuple[Check, ...] = (
+    Check("ops", "quadrature: total volume = pi R^2 Lz", _total_volume),
+    Check("ops", "quadrature: int r dx matches midpoint closed form", _midpoint_r),
+    Check("ops", "stencils: radial derivative order >= 1.9", partial(_stencil_order, d_dr, 1)),
+    Check("ops", "stencils: axial derivative order >= 1.9", partial(_stencil_order, d_dz, 2)),
+    Check("ops", "axial derivative is skew-adjoint under the quadrature", _axial_skew),
+    Check(
+        "ops",
+        "divergence residual of reconstructed velocity: order >= 1.9",
+        lambda: _orders(_divergence(), 1.9),
+    ),
+    Check("ops", "quartic bound lhs <= rhs on 1000 random states, no tolerance", _quartic),
+    Check("ops", "space-time norm of constant field = c V^(1/p) T^(1/q)", _lpq_constant),
+    Check("ops", "space-time norm of a two-level step matches the closed form", _lpq_step),
+    Check(
+        "ops",
+        "offline recomputation from snapshots matches the live series",
+        _offline_matches_live,
+    ),
+    Check("ops", "series CSV round trip is value-exact", _csv_round_trip),
+    Check("ops", "running integrals are nondecreasing", _integrals_nondecreasing),
+    Check(
+        "elliptic",
+        "stream solve recovers the closed-form solution at order >= 1.9",
+        lambda: _orders(_elliptic()[0], 1.9),
+    ),
+    Check("elliptic", "stream solve residual <= 1e-10 of the source norm", _elliptic_residual),
+    Check("elliptic", "stream solve residual on random sources <= 1e-10", _random_source_residual),
+    Check(
+        "elliptic", "nonnegative vorticity gives nonnegative stream function", _nonnegative_psi
+    ),
+    *_per_run(
+        "energy",
+        (
+            ("energy non-increasing row to row", _energy_monotone),
+            ("|E(T) - E(0) + nu int D| <= 1e-3 E(0)", _energy_balance),
+            ("per-row drop covers half the predicted dissipation", _energy_drop),
+            ("vorticity budget lhs <= 1.01 rhs at every row", _vorticity_budget),
+        ),
+    ),
+    *_per_run(
+        "maxprinciple",
+        (("swirl maximum never exceeds its initial value", _swirl_maximum),),
+    ),
+    Check("lemma33", "criteria ratio <= 2.0 on the 100-field ensemble", _ensemble_bounded),
+    Check("lemma33", "ensemble max ratio moves < 5% under refinement", _ensemble_drift),
+    *_per_run("lemma33", (("criteria ratio <= 2.0 along the run", _run_ratio),)),
+    Check("mms", "forced-run recovery: spatial order >= 1.9", lambda: _orders(_spatial(), 1.9)),
+    Check("mms", "forced-run recovery: temporal order >= 2.9", lambda: _orders(_temporal(), 2.9)),
+    Check(
+        "mms",
         "small-amplitude swirl decays at exp(-nu (2 pi / Lz)^2 t) to 1e-3",
-        decay <= 1e-3,
-        f"rel err {decay:.2e}",
-    )
-
-
-_SUITE_FNS = {
-    "ops": suite_ops,
-    "elliptic": suite_elliptic,
-    "energy": suite_energy,
-    "maxprinciple": suite_maxprinciple,
-    "lemma33": suite_lemma33,
-    "mms": suite_mms,
-}
+        _swirl_decay,
+    ),
+)
 
 
 def run_suites(names) -> bool:
-    rep = Reporter()
-    for name in names:
-        if name not in _SUITE_FNS:
-            raise ValueError(f"unknown suite {name!r}")
-        print(f"== suite {name} ==")
-        _SUITE_FNS[name](rep)
-    n_ok = sum(1 for _, ok in rep.checks if ok)
-    print(f"{n_ok}/{len(rep.checks)} checks passed")
-    return rep.ok
+    """Run and print every check of the named suites; True if all pass."""
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}")
+    results = []
+    for suite in names:
+        print(f"== suite {suite} ==")
+        for check in CHECKS:
+            if check.suite != suite:
+                continue
+            ok, detail = check.fn()
+            results.append(bool(ok))
+            line = f"[{'pass' if ok else 'FAIL'}] {check.name}"
+            print(line + (f"  ({detail})" if detail else ""))
+    print(f"{sum(results)}/{len(results)} checks passed")
+    return all(results)

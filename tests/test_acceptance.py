@@ -1,186 +1,18 @@
-"""Top-level acceptance gate: one test per criterion, at the stated tolerance.
+"""Top-level acceptance gate: every check of ``axns.verify.CHECKS``.
 
-The four reference runs (gaussian_ring / pure_swirl at nu = 0.05 / 0.2,
-64 x 64, CFL 0.5, t_end 1) are produced once by axns.verify.acceptance_run
-and shared across criteria through its cache.  Each test prints one
-summary line; `pytest -v` adds the per-criterion pass/fail verdict.
+``axns verify`` runs the same table, so each bound lives in one place.
+Test ids are ``suite:name``.  Shared inputs (the four reference runs,
+the refinement studies, the ratio ensemble, the offline run) are cached
+per process by ``axns.verify``; `pytest -s` shows each check's detail.
 """
 
-import math
-import tempfile
-from pathlib import Path
+import pytest
 
-import numpy as np
-
-from axns import diagnostics as dg
-from axns.dynamics import SolverConfig, run
-from axns.grid import EVEN, GridSpec, ScalarField, field_from_function, make_grid
-from axns.kinematics import State
-from axns.scenarios import Scenario
-from axns.storage import read_series, read_snapshot_dir
-from axns.studies import (
-    divergence_study,
-    dynamics_spatial_study,
-    dynamics_temporal_study,
-    elliptic_study,
-    observed_order,
-    ratio_ensemble,
-    swirl_decay_error,
-)
-from axns.verify import ACCEPTANCE_CASES, acceptance_run
+from axns.verify import CHECKS
 
 
-def test_criterion_1_elliptic_manufactured_recovery():
-    errs, resids = elliptic_study(levels=(32, 64, 128))
-    orders = observed_order(errs)
-    assert min(orders) >= 1.9
-    assert all(r <= 1e-10 for r in resids)
-    print(
-        "criterion 1: elliptic orders "
-        + ", ".join(f"{o:.3f}" for o in orders)
-        + f"; max residual {max(resids):.2e}"
-    )
-
-
-def test_criterion_2_energy_inequality_and_balance():
-    lines = []
-    for name, nu in ACCEPTANCE_CASES:
-        _, _, series = acceptance_run(name, nu)
-        rows = series.rows
-        E0 = rows[0].E
-        assert all(b.E <= a.E * (1.0 + 1e-9) for a, b in zip(rows, rows[1:]))
-        t = np.array([r.t for r in rows])
-        D = np.array([r.D for r in rows])
-        diss = float(np.sum(0.5 * np.diff(t) * (D[1:] + D[:-1])))
-        defect = abs(rows[-1].E - E0 + nu * diss)
-        assert defect <= 1e-3 * E0
-        lines.append(f"{name}/nu={nu}: balance defect {defect / E0:.2e} E0")
-    print("criterion 2: " + "; ".join(lines))
-
-
-def test_criterion_3_swirl_maximum_principle():
-    worst = 0.0
-    for name, nu in ACCEPTANCE_CASES:
-        _, _, series = acceptance_run(name, nu)
-        sup0 = series.rows[0].swirl_sup
-        for row in series.rows:
-            assert row.swirl_sup <= (1.0 + 1e-10) * sup0
-            worst = max(worst, row.swirl_sup / sup0 - 1.0)
-    print(f"criterion 3: max relative excess over initial swirl sup {worst:.2e}")
-
-
-def test_criterion_4_criteria_ratio_bounded_and_grid_stable():
-    g64 = make_grid(GridSpec(R=1.0, Lz=1.0, nr=64, nz=64))
-    g128 = make_grid(GridSpec(R=1.0, Lz=1.0, nr=128, nz=128))
-    r64 = ratio_ensemble(100, g64, seed=11)
-    r128 = ratio_ensemble(100, g128, seed=11)
-    assert max(r64) <= 2.0 and max(r128) <= 2.0
-    drift = abs(max(r128) - max(r64)) / max(r64)
-    assert drift < 0.05
-    run_worst = 0.0
-    for name, nu in ACCEPTANCE_CASES:
-        _, _, series = acceptance_run(name, nu)
-        for row in series.rows:
-            if row.critB > 0.0:
-                assert row.critA <= 2.0 * row.critB
-                run_worst = max(run_worst, row.critA / row.critB)
-            else:
-                assert row.critA == 0.0
-    print(
-        f"criterion 4: ensemble max ratio {max(r64):.4f} (64^2) / "
-        f"{max(r128):.4f} (128^2), drift {drift:.2%}, run max {run_worst:.4f}"
-    )
-
-
-def test_criterion_5_vorticity_budget():
-    margins = []
-    for name, nu in ACCEPTANCE_CASES:
-        _, _, series = acceptance_run(name, nu)
-        lhs, rhs = dg.omega1_budget(series, nu)
-        assert np.all(lhs <= 1.01 * rhs)
-        margins.append(float(np.max(lhs - 1.01 * rhs)))
-    print(f"criterion 5: worst budget margin {max(margins):.2e} (<= 0 required)")
-
-
-def test_criterion_6_quartic_bound_thousand_states():
-    rng = np.random.default_rng(20240817)
-    g = make_grid(GridSpec(R=1.0, Lz=1.0, nr=24, nz=24))
-    zero = ScalarField(g, np.zeros((g.nr, g.nz)), EVEN)
-    violations = 0
-    for _ in range(1000):
-        amp = 10.0 ** rng.uniform(-3, 3)
-        u1 = ScalarField(g, amp * rng.standard_normal((g.nr, g.nz)), EVEN)
-        state = State(u1=u1, omega1=zero, psi1=zero, t=0.0)
-        lhs, rhs = dg.quartic_check(state)
-        violations += int(lhs > rhs)
-    assert violations == 0
-    print("criterion 6: 0 violations in 1000 random states")
-
-
-def test_criterion_7_dynamics_convergence_and_decay():
-    sp_orders = observed_order(dynamics_spatial_study())
-    assert min(sp_orders) >= 1.9
-    t_orders = observed_order(dynamics_temporal_study())
-    assert min(t_orders) >= 2.9
-    decay = swirl_decay_error()
-    assert decay <= 1e-3
-    print(
-        "criterion 7: spatial orders "
-        + ", ".join(f"{o:.3f}" for o in sp_orders)
-        + "; temporal orders "
-        + ", ".join(f"{o:.3f}" for o in t_orders)
-        + f"; swirl decay rel err {decay:.2e}"
-    )
-
-
-def test_criterion_8_offline_matches_online():
-    cfg = SolverConfig(
-        nu=0.1,
-        cfl=0.5,
-        t_end=0.05,
-        grid=GridSpec(R=1.0, Lz=1.0, nr=32, nz=32),
-        scenario=Scenario(name="gaussian_ring", amplitude=1.0, width=0.25),
-        output_every=3,
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        _, live, _ = run(cfg, out_dir=tmp)
-        offline = dg.CriteriaSeries.bare(nu=cfg.nu, s=cfg.s)
-        for st, nu in read_snapshot_dir(Path(tmp) / "snapshots"):
-            dg.sample(st, offline, nu)
-        stored = read_series(Path(tmp) / "series.csv")
-    assert len(live.rows) == len(offline.rows) == len(stored) >= 3
-    worst = 0.0
-    for a, b in zip(live.rows, offline.rows):
-        for col in dg.COLUMNS:
-            va, vb = getattr(a, col), getattr(b, col)
-            scale = max(abs(va), abs(vb), 1e-300)
-            worst = max(worst, abs(va - vb) / scale)
-    assert worst <= 1e-12
-    int_cols = [c for c in dg.COLUMNS if c.endswith("_int")]
-    for a, b in zip(live.rows, live.rows[1:]):
-        for col in int_cols:
-            assert getattr(a, col) <= getattr(b, col)
-    # lpq closed form on constants
-    g = make_grid(cfg.grid)
-    c, T = 0.75, 2.0
-    f = field_from_function(g, lambda r, z: c + 0 * r, EVEN)
-    samples = [(0.0, f), (0.8, f), (T, f)]
-    V = math.pi
-    lpq_worst = 0.0
-    for p, q in ((2.0, 2.0), (4.0, 2.0), (3.0, 7.0), (2.0, math.inf), (math.inf, 3.0)):
-        got = dg.lpq_norm(samples, p, q)
-        vol = 1.0 if math.isinf(p) else V ** (1.0 / p)
-        tim = 1.0 if math.isinf(q) else T ** (1.0 / q)
-        lpq_worst = max(lpq_worst, abs(got - c * vol * tim) / (c * vol * tim))
-    assert lpq_worst <= 1e-12
-    print(
-        f"criterion 8: worst offline/online rel diff {worst:.2e}; "
-        f"worst lpq constant rel err {lpq_worst:.2e}"
-    )
-
-
-def test_criterion_9_divergence_refinement():
-    errs = divergence_study()
-    orders = observed_order(errs)
-    assert min(orders) >= 1.9
-    print("criterion 9: divergence orders " + ", ".join(f"{o:.3f}" for o in orders))
+@pytest.mark.parametrize("check", CHECKS, ids=[f"{c.suite}:{c.name}" for c in CHECKS])
+def test_check(check):
+    ok, detail = check.fn()
+    print(detail)
+    assert ok, detail

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from axns import storage
+from axns import storage, verify
 from axns.cli import main
+from axns.verify import CHECKS, SUITES
 
 CONFIG = """
 nu = 0.2
@@ -34,7 +35,21 @@ def run_dir(tmp_path_factory):
 def test_verify_ops_exits_zero(capsys):
     assert main(["verify", "--suite", "ops"]) == 0
     text = capsys.readouterr().out
-    assert "[pass]" in text and "[FAIL]" not in text
+    n_ops = sum(1 for c in CHECKS if c.suite == "ops")
+    assert "[FAIL]" not in text
+    assert sum(line.startswith("[pass] ") for line in text.splitlines()) == n_ops
+
+
+def test_check_table_names_unique_and_suites_covered():
+    assert len({c.name for c in CHECKS}) == len(CHECKS)
+    assert {c.suite for c in CHECKS} == set(SUITES)
+
+
+def test_csv_round_trip_check_rejects_truncated_series(monkeypatch):
+    live, offline, stored = verify._offline_run()
+    monkeypatch.setattr(verify, "_offline_run", lambda: (live, offline, stored[:-1]))
+    check = next(c for c in CHECKS if c.name == "series CSV round trip is value-exact")
+    assert check.fn()[0] is False
 
 
 def test_run_produces_outputs(run_dir):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from axns.elliptic import criteria_ratio, solve_stream, stream_report, stream_residual
+from axns.diagnostics import criterion_A, criterion_B
+from axns.elliptic import solve_stream, stream_residual
 from axns.grid import (
     EVEN,
     GridSpec,
@@ -17,7 +18,14 @@ from axns.grid import (
     norm_l2,
     zeros_field,
 )
+from axns.kinematics import State
 from axns.studies import bump_field, elliptic_study, observed_order, random_bump_terms
+
+
+def criteria_pair(om):
+    """(A, B) of the state whose stream function solves for om."""
+    state = State(u1=zeros_field(om.grid), omega1=om, psi1=solve_stream(om), t=0.0)
+    return criterion_A(state), criterion_B(state)
 
 
 def test_zero_source(grid32):
@@ -100,7 +108,7 @@ def test_coercive_pairing_positive(grid32, rng):
 
 
 def test_criteria_ratio_zero(grid16):
-    assert criteria_ratio(zeros_field(grid16)) == (0.0, 0.0, 0.0)
+    assert criteria_pair(zeros_field(grid16)) == (0.0, 0.0)
 
 
 def test_criteria_ratio_single_mode(grid64):
@@ -109,26 +117,18 @@ def test_criteria_ratio_single_mode(grid64):
         lambda r, z: np.exp(-(((r - 0.4) / 0.18) ** 2)) * np.cos(2 * np.pi * z),
         EVEN,
     )
-    A, B, ratio = criteria_ratio(om)
+    A, B = criteria_pair(om)
     assert A > 0 and B > 0
-    assert ratio <= 2.0
+    assert A / B <= 2.0
 
 
 def test_criterion_b_closed_form():
     # B(om1=1) = 2 pi int r^2 dr dz = 2 pi Lz (R^3/3 - R Dr^2/12) exactly
     g = make_grid(GridSpec(R=1.0, Lz=1.0, nr=40, nz=8))
     one = field_from_function(g, lambda r, z: 1.0 + 0 * r, EVEN)
-    _, B, _ = criteria_ratio(one)
+    _, B = criteria_pair(one)
     want = 2 * math.pi * (1.0 / 3.0 - g.dr**2 / 12.0)
     assert math.isclose(B, want, rel_tol=1e-13)
-
-
-def test_stream_report(grid32, rng):
-    om = ScalarField(grid32, rng.standard_normal((grid32.nr, grid32.nz)), EVEN)
-    rep = stream_report(om, with_ratio=True)
-    assert rep.residual_l2 <= 1e-10 * norm_l2(om)
-    assert rep.modes == grid32.nz // 2 + 1
-    assert rep.ratio_A_over_B is not None and rep.ratio_A_over_B >= 0
 
 
 def test_factor_cache_reused(grid32):

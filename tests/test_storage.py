@@ -1,6 +1,7 @@
 """Snapshot and series round trips, corruption handling, run output layout."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from axns import diagnostics as dg
 from axns import storage
+from axns.cli import main
 from axns.dynamics import SolverConfig, run
 from axns.grid import EVEN, GridSpec, ScalarField, make_grid, zeros_field
 from axns.kinematics import State
@@ -97,11 +99,17 @@ def test_snapshot_dir_ordering_and_checks(grid16, tmp_path, rng):
         storage.read_snapshot_dir(tmp_path)
 
 
-def test_snapshot_dir_mixed_nu(grid16, tmp_path):
-    storage.write_snapshot(make_state(grid16, t=0.0), tmp_path / "a.axns", nu=0.1)
-    storage.write_snapshot(make_state(grid16, t=0.1), tmp_path / "b.axns", nu=0.2)
-    with pytest.raises(ValueError):
-        storage.read_snapshot_dir(tmp_path)
+def test_snapshot_dir_mixed_nu(grid16, grid32, tmp_path):
+    # a second nu, then a second grid; `axns criteria` refuses both
+    cases = ((grid16, 0.2, "0.1 and 0.2"), (grid32, 0.1, f"{grid16.spec} and {grid32.spec}"))
+    for case, (grid, nu, names_both) in enumerate(cases):
+        d = tmp_path / str(case)
+        d.mkdir()
+        storage.write_snapshot(make_state(grid16, t=0.0), d / "a.axns", nu=0.1)
+        storage.write_snapshot(make_state(grid, t=0.1), d / "b.axns", nu=nu)
+        with pytest.raises(ValueError, match=re.escape(names_both)):
+            storage.read_snapshot_dir(d)
+        assert main(["criteria", "--snapshots", str(d), "--out", str(d / "x.csv")]) == 2
 
 
 def test_snapshot_dir_empty(tmp_path):
