@@ -3,6 +3,9 @@
 The package evolves (u1, om1, psi1) = (v_phi/r, om_phi/r, psi/r) on a
 cell-centered cylinder grid, with a spectral-in-z stream solve, SSP-RK3
 time stepping, and a monitor series of weighted regularity functionals.
+
+Fields cross the API as ScalarField and State, except in the tendency kernel
+rhs(grid, u1, om1, psi1, nu, t, forcing=None) -> (du1, dom1) on raw arrays.
 """
 
 from .config import ConfigError, parse_config

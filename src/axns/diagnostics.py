@@ -12,13 +12,10 @@ One MonitorRow per sampled time, columns in this fixed order:
     swirl_sup    max |r^2 u1|
     cfz_l2       int w^2 dx with w = v_phi^2 / r = r u1^2  (squared L2 norm)
     cfz_grad_int trapezoid of int |grad w|^2 dx
-    cfz_l4_int   trapezoid of int u1^4 dx ( = ||v_phi/r||_L4^4 )
     phi_l2       || -d_dz(u1) ||_L2
-    gamma_l2     || om1 ||_L2
-    om1_l2       || om1 ||_L2 volume norm (same value as gamma_l2; kept as
-                 its own column so the vorticity budget reads off one name)
+    om1_l2       || om1 ||_L2 volume norm ( = ||Gamma||_L2 )
     om1_grad_int trapezoid of int |grad om1|^2 dx
-    u1_l4_int    trapezoid of int u1^4 dx
+    u1_l4_int    trapezoid of int u1^4 dx ( = ||v_phi/r||_L4^4 )
     ualpha_s     int |u_alpha|^s dx with u_alpha = r^(2 - alpha) u1, alpha = 3/s
     quartic_lhs  int v_phi^4 dx
     quartic_rhs  swirl_sup^2 int u1^2 dx
@@ -63,9 +60,7 @@ class MonitorRow:
     swirl_sup: float
     cfz_l2: float
     cfz_grad_int: float
-    cfz_l4_int: float
     phi_l2: float
-    gamma_l2: float
     om1_l2: float
     om1_grad_int: float
     u1_l4_int: float
@@ -107,7 +102,7 @@ class CriteriaSeries:
 def _face_grad_sq(vals: np.ndarray, grid: Grid, wall_zero: bool) -> float:
     """int |grad f|^2 dx from face differences; see the module docstring."""
     w_node = grid.quad_w[:, None]
-    dfz = (np.roll(vals, -1, axis=1) - vals) / grid.dz
+    dfz = np.diff(vals, axis=1, append=vals[:, :1]) / grid.dz
     total = np.sum(w_node * dfz * dfz)
     dfr = (vals[1:] - vals[:-1]) / grid.dr
     r_face = grid.r[:-1] + 0.5 * grid.dr
@@ -288,33 +283,17 @@ def omega1_budget(series: CriteriaSeries, nu: float) -> tuple[np.ndarray, np.nda
 
 
 def _instantaneous(state: State, s: int) -> dict:
-    E, D = energy_budget(state)
-    critA = criterion_A(state)
-    critB = criterion_B(state)
-    sup = swirl_sup(state)
-    cfz_l2, cfz_grad, cfz_l4 = cfz_quantities(state)
-    phi, gamma = phi_gamma_norms(state)
-    om_l2, om_grad = omega1_energy(state)
-    ua_s, _, _ = weighted_swirl_report(state, s)
-    qlhs, qrhs = quartic_check(state)
-    return {
-        "E": E,
-        "D": D,
-        "critA": critA,
-        "critB": critB,
-        "swirl_sup": sup,
-        "cfz_l2": cfz_l2,
-        "cfz_grad": cfz_grad,
-        "cfz_l4": cfz_l4,
-        "phi_l2": phi,
-        "gamma_l2": gamma,
-        "om1_l2": om_l2,
-        "om1_grad": om_grad,
-        "u1_l4": cfz_l4,
-        "ualpha_s": ua_s,
-        "quartic_lhs": qlhs,
-        "quartic_rhs": qrhs,
-    }
+    """Instantaneous functionals, keyed by column name or, for a running
+    integral <key>_int, by <key>."""
+    inst = dict(zip(("E", "D"), energy_budget(state)))
+    inst.update(critA=criterion_A(state), critB=criterion_B(state))
+    inst["swirl_sup"] = swirl_sup(state)
+    inst.update(zip(("cfz_l2", "cfz_grad", "u1_l4"), cfz_quantities(state)))
+    inst["phi_l2"] = phi_gamma_norms(state)[0]
+    inst.update(zip(("om1_l2", "om1_grad"), omega1_energy(state)))
+    inst["ualpha_s"] = weighted_swirl_report(state, s)[0]
+    inst.update(zip(("quartic_lhs", "quartic_rhs"), quartic_check(state)))
+    return inst
 
 
 def sample(state: State, series: CriteriaSeries, nu: float) -> MonitorRow:
@@ -326,46 +305,21 @@ def sample(state: State, series: CriteriaSeries, nu: float) -> MonitorRow:
     s = int(series.meta.get("s", 4))
     inst = _instantaneous(state, s)
     t = state.t
-    if series.rows:
-        last = series.rows[-1]
-        prev = series._prev
-        if t <= last.t:
-            raise ValueError(f"sample: time {t} not after previous row {last.t}")
-        half = 0.5 * (t - last.t)
-
-        def integ(acc: float, key: str) -> float:
-            return acc + half * (prev[key] + inst[key])
-
-        critA_int = integ(last.critA_int, "critA")
-        critB_int = integ(last.critB_int, "critB")
-        cfz_grad_int = integ(last.cfz_grad_int, "cfz_grad")
-        cfz_l4_int = integ(last.cfz_l4_int, "cfz_l4")
-        om1_grad_int = integ(last.om1_grad_int, "om1_grad")
-        u1_l4_int = integ(last.u1_l4_int, "u1_l4")
-    else:
-        critA_int = critB_int = cfz_grad_int = cfz_l4_int = 0.0
-        om1_grad_int = u1_l4_int = 0.0
-    row = MonitorRow(
-        t=t,
-        E=inst["E"],
-        D=inst["D"],
-        critA=inst["critA"],
-        critB=inst["critB"],
-        critA_int=critA_int,
-        critB_int=critB_int,
-        swirl_sup=inst["swirl_sup"],
-        cfz_l2=inst["cfz_l2"],
-        cfz_grad_int=cfz_grad_int,
-        cfz_l4_int=cfz_l4_int,
-        phi_l2=inst["phi_l2"],
-        gamma_l2=inst["gamma_l2"],
-        om1_l2=inst["om1_l2"],
-        om1_grad_int=om1_grad_int,
-        u1_l4_int=u1_l4_int,
-        ualpha_s=inst["ualpha_s"],
-        quartic_lhs=inst["quartic_lhs"],
-        quartic_rhs=inst["quartic_rhs"],
-    )
+    last = series.rows[-1] if series.rows else None
+    if last is not None and t <= last.t:
+        raise ValueError(f"sample: time {t} not after previous row {last.t}")
+    # a column <key>_int is the running trapezoid of the instantaneous <key>
+    values = {"t": t}
+    for col in COLUMNS[1:]:
+        key = col.removesuffix("_int")
+        if key == col:
+            values[col] = inst[col]
+        elif last is None:
+            values[col] = 0.0
+        else:
+            half = 0.5 * (t - last.t)
+            values[col] = getattr(last, col) + half * (series._prev[key] + inst[key])
+    row = MonitorRow(**values)
     series.rows.append(row)
     series._prev = inst
     return row

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import diagnostics, storage
 from .elliptic import solve_stream
-from .grid import EVEN, Grid, GridSpec, ScalarField, d_dr, d_dz, make_grid, modified_laplacian
-from .kinematics import State, reconstruct_velocity
+from .grid import EVEN, Grid, GridSpec, ScalarField, d_dr, d_dz, make_grid
+from .grid import d_dr_values, d_dz_values, lap3_values
+from .kinematics import State
 from .scenarios import Scenario, init_scenario, manufactured_solution
 
 
@@ -55,36 +56,34 @@ class SolverConfig:
         self.scenario.validate(self.grid)
 
 
-@dataclass(eq=False)
-class Tendency:
-    du1: ScalarField
-    domega1: ScalarField
+def _transport(grid: Grid, f, df_dz, vr, vz, nu: float):
+    """-(v.grad f) + nu lap3(f) on raw arrays, f even."""
+    adv = vr * d_dr_values(f, grid.dr, EVEN)
+    adv += vz * df_dz
+    out = lap3_values(f, grid)
+    out *= nu
+    out -= adv
+    return out
 
 
-def rhs(state: State, cfg: SolverConfig, t: float, forcing=None) -> Tendency:
-    """Spatial tendency of (u1, om1) at stage time t."""
-    g = state.grid
-    r = g.r[:, None]
-    u1 = state.u1
-    om1 = state.omega1
-    dpsi_dz = d_dz(state.psi1).values
+def rhs(grid: Grid, u1, om1, psi1, nu: float, t: float, forcing=None):
+    """Spatial tendency (du1, dom1) of the raw (nr, nz) node values of the
+    even-parity fields (u1, om1, psi1) at stage time t."""
+    r = grid.r[:, None]
+    dpsi_dz = d_dz_values(psi1, grid.dz)
     vr = -r * dpsi_dz
-    vz = 2.0 * state.psi1.values + r * d_dr(state.psi1).values
+    vz = 2.0 * psi1 + r * d_dr_values(psi1, grid.dr, EVEN)
+    du1_dz = d_dz_values(u1, grid.dz)
+    two_u1 = 2.0 * u1
 
-    du1 = (
-        -(vr * d_dr(u1).values + vz * d_dz(u1).values)
-        + cfg.nu * modified_laplacian(u1).values
-        + 2.0 * u1.values * dpsi_dz
-    )
-    dom1 = (
-        -(vr * d_dr(om1).values + vz * d_dz(om1).values)
-        + cfg.nu * modified_laplacian(om1).values
-        + 2.0 * u1.values * d_dz(u1).values
-    )
+    du1 = _transport(grid, u1, du1_dz, vr, vz, nu)
+    du1 += two_u1 * dpsi_dz
+    dom1 = _transport(grid, om1, d_dz_values(om1, grid.dz), vr, vz, nu)
+    dom1 += two_u1 * du1_dz
     if forcing is not None:
-        du1 += forcing.f_u(g, t)
-        dom1 += forcing.f_om(g, t)
-    return Tendency(ScalarField(g, du1, EVEN), ScalarField(g, dom1, EVEN))
+        du1 += forcing.f_u(grid, t)
+        dom1 += forcing.f_om(grid, t)
+    return du1, dom1
 
 
 def stable_dt(state: State, cfg: SolverConfig) -> float:
@@ -98,9 +97,11 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
             (g.dr * g.dr * g.dz * g.dz)
             / (2.0 * cfg.nu * (g.dr * g.dr + g.dz * g.dz))
         )
-    vel = reconstruct_velocity(state)
-    vr_max = float(np.max(np.abs(vel.v_r.values)))
-    vz_max = float(np.max(np.abs(vel.v_z.values)))
+    # |v_r| and |v_z| as reconstruct_velocity forms them
+    r = g.r[:, None]
+    psi1 = state.psi1
+    vr_max = float(np.max(np.abs(r * d_dz(psi1).values)))
+    vz_max = float(np.max(np.abs(2.0 * psi1.values + r * d_dr(psi1).values)))
     if vr_max > 0:
         guards.append(g.dr / vr_max)
     if vz_max > 0:
@@ -109,34 +110,38 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
     return min(dt, cfg.t_end - state.t)
 
 
-def _advance(grid: Grid, u_vals: np.ndarray, om_vals: np.ndarray, t: float, stage: str) -> State:
-    if not (np.all(np.isfinite(u_vals)) and np.all(np.isfinite(om_vals))):
+def _vorticity(grid: Grid, u1: np.ndarray, om1: np.ndarray, stage: str) -> ScalarField:
+    """A stage's om1 as the stream solve's source, once (u1, om1) are finite."""
+    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(om1))):
         raise BlowUpError(f"non-finite fields after {stage}")
-    om1 = ScalarField(grid, om_vals, EVEN)
-    psi1 = solve_stream(om1)
-    return State(u1=ScalarField(grid, u_vals, EVEN), omega1=om1, psi1=psi1, t=t)
+    return ScalarField(grid, om1, EVEN)
 
 
 def step(state: State, dt: float, cfg: SolverConfig, forcing=None) -> State:
-    """One SSP-RK3 step of size dt; dt must respect stable_dt."""
+    """One SSP-RK3 step of size dt; dt must respect stable_dt.  The stages
+    work on raw arrays; only the returned State wraps them."""
     g = state.grid
     t = state.t
+    nu = cfg.nu
     u0, w0 = state.u1.values, state.omega1.values
 
-    k1 = rhs(state, cfg, t, forcing)
-    u_a = u0 + dt * k1.du1.values
-    w_a = w0 + dt * k1.domega1.values
-    s1 = _advance(g, u_a, w_a, t + dt, "stage 1")
+    du, dw = rhs(g, u0, w0, state.psi1.values, nu, t, forcing)
+    u_a = u0 + dt * du
+    w_a = w0 + dt * dw
+    p_a = solve_stream(_vorticity(g, u_a, w_a, "stage 1")).values
 
-    k2 = rhs(s1, cfg, t + dt, forcing)
-    u_b = 0.75 * u0 + 0.25 * (u_a + dt * k2.du1.values)
-    w_b = 0.75 * w0 + 0.25 * (w_a + dt * k2.domega1.values)
-    s2 = _advance(g, u_b, w_b, t + 0.5 * dt, "stage 2")
+    du, dw = rhs(g, u_a, w_a, p_a, nu, t + dt, forcing)
+    u_b = 0.75 * u0 + 0.25 * (u_a + dt * du)
+    w_b = 0.75 * w0 + 0.25 * (w_a + dt * dw)
+    p_b = solve_stream(_vorticity(g, u_b, w_b, "stage 2")).values
 
-    k3 = rhs(s2, cfg, t + 0.5 * dt, forcing)
-    u_n = u0 / 3.0 + (2.0 / 3.0) * (u_b + dt * k3.du1.values)
-    w_n = w0 / 3.0 + (2.0 / 3.0) * (w_b + dt * k3.domega1.values)
-    return _advance(g, u_n, w_n, t + dt, "stage 3")
+    du, dw = rhs(g, u_b, w_b, p_b, nu, t + 0.5 * dt, forcing)
+    u_n = u0 / 3.0 + (2.0 / 3.0) * (u_b + dt * du)
+    w_n = w0 / 3.0 + (2.0 / 3.0) * (w_b + dt * dw)
+    om_n = _vorticity(g, u_n, w_n, "stage 3")
+    return State(
+        u1=ScalarField(g, u_n, EVEN), omega1=om_n, psi1=solve_stream(om_n), t=t + dt
+    )
 
 
 def run(cfg: SolverConfig, out_dir: str | None = None):

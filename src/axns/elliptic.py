@@ -3,10 +3,12 @@
 Direct method: a real FFT along the periodic z direction diagonalizes the
 axial second difference (eigenvalue -(2 - 2 cos(2 pi k / nz)) / dz^2), and
 each mode leaves a real tridiagonal system in r built from the same
-radial_bands coefficients that modified_laplacian applies.  The tridiagonal
+grid.radial_bands coefficients that modified_laplacian applies.  The
 factorizations depend only on the grid, so they are computed once per grid
-and reused; each solve is then one rfft, a vectorized forward/backward
-substitution over all modes, and one irfft.
+and reused; each solve is then one rfft, a forward/backward substitution
+down the rows of its C-contiguous (nr, modes) output, read in place as real
+(nr, 2 modes), and one irfft.  Pivots are stored as reciprocals: numpy's
+complex-by-real division (a + ib) / d also multiplies by 1/d, bit for bit.
 
 The per-mode matrix  M_k = -(radial part) + mu_k I  has positive diagonal
 and nonpositive off-diagonals, and the Dirichlet wall row makes it
@@ -27,7 +29,6 @@ from .grid import (
     ScalarField,
     modified_laplacian,
     norm_l2,
-    radial_bands,
 )
 
 
@@ -36,7 +37,7 @@ class _StreamFactor:
 
     def __init__(self, grid: Grid):
         nr, nz = grid.nr, grid.nz
-        sub, diag, sup = radial_bands(grid)
+        sub, diag, sup = grid.radial_bands
         k = np.arange(nz // 2 + 1)
         mu = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / nz)) / (grid.dz * grid.dz)
         # M_k = -(L_r) + mu_k I
@@ -52,20 +53,25 @@ class _StreamFactor:
             d[:, i] = b[:, i] - w[:, i] * c[i - 1]
         if not np.all(d > 0.0):
             raise RuntimeError("stream solver factorization lost positivity")
+        # per row of the real (nr, 2 modes) view: each coefficient twice, for
+        # Re and Im, kept as row views because the sweep walks row by row
         self.nz = nz
-        self.c = c
-        self.d = d
-        self.w = w
+        self.c = [float(v) for v in c]
+        self.w = list(np.repeat(w.T, 2, axis=1))
+        self.inv_d = list(np.repeat((1.0 / d).T, 2, axis=1))
 
     def solve(self, rhs_values: np.ndarray) -> np.ndarray:
-        g = np.fft.rfft(rhs_values, axis=1).T.copy()  # (modes, nr)
-        nr = g.shape[1]
-        for i in range(1, nr):
-            g[:, i] -= self.w[:, i] * g[:, i - 1]
-        g[:, -1] /= self.d[:, -1]
-        for i in range(nr - 2, -1, -1):
-            g[:, i] = (g[:, i] - self.c[i] * g[:, i + 1]) / self.d[:, i]
-        return np.fft.irfft(g.T, n=self.nz, axis=1)
+        g = np.fft.rfft(rhs_values, axis=1)  # (nr, modes), C-contiguous
+        x = list(g.view(np.float64))
+        w, c, inv_d = self.w, self.c, self.inv_d
+        tmp = np.empty_like(x[0])
+        for i in range(1, len(x)):
+            np.subtract(x[i], np.multiply(w[i], x[i - 1], out=tmp), out=x[i])
+        np.multiply(x[-1], inv_d[-1], out=x[-1])
+        for i in range(len(x) - 2, -1, -1):
+            np.subtract(x[i], np.multiply(x[i + 1], c[i], out=tmp), out=x[i])
+            np.multiply(x[i], inv_d[i], out=x[i])
+        return np.fft.irfft(g, n=self.nz, axis=1)
 
 
 _factors: "weakref.WeakKeyDictionary[Grid, _StreamFactor]" = weakref.WeakKeyDictionary()

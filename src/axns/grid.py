@@ -33,6 +33,7 @@ fields and in the stream-function equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,27 @@ class Grid:
     dr: float
     dz: float
     quad_w: np.ndarray  # per-node volume weight 2 pi r_i dr dz, shape (nr,)
+
+    @cached_property
+    def radial_bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tridiagonal coefficients (sub, diag, sup) of d^2/dr^2 + (3/r) d/dr
+        on even-parity fields, with the axis ghost folded into diag[0] and
+        the Dirichlet wall ghost folded into diag[-1].  Built on first use
+        and shared, read-only, by the operator application and by the
+        stream-function solver so that the two agree to the last bit.
+        """
+        inv2 = 1.0 / (self.dr * self.dr)
+        s = 3.0 / (2.0 * self.r * self.dr)
+        sub = inv2 - s
+        sup = inv2 + s
+        diag = np.full(self.nr, -2.0 * inv2)
+        diag[0] += sub[0]  # even ghost: f(-1) = f(0)
+        diag[-1] -= sup[-1]  # wall ghost: f(nr) = -f(nr-1)
+        sub[0] = 0.0
+        sup[-1] = 0.0
+        for band in (sub, diag, sup):
+            band.flags.writeable = False
+        return sub, diag, sup
 
     @property
     def nr(self) -> int:
@@ -136,64 +158,65 @@ def norm_l2(f: ScalarField) -> float:
     return float(np.sqrt(np.sum(f.values * f.values * f.grid.quad_w[:, None])))
 
 
-def _ghosted_r(values: np.ndarray, parity: str) -> tuple[np.ndarray, np.ndarray]:
-    # axis ghost from parity, wall ghost from Dirichlet extrapolation
-    lo = values[0] if parity == EVEN else -values[0]
-    hi = -values[-1]
-    return lo, hi
+def d_dr_values(values: np.ndarray, dr: float, parity: str) -> np.ndarray:
+    """Centered radial difference of raw node values; the axis ghost comes
+    from the parity, the wall ghost from the Dirichlet extrapolation."""
+    axis = values[0] if parity == EVEN else -values[0]
+    out = np.empty(values.shape)
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    np.subtract(values[1], axis, out=out[0])
+    np.subtract(-values[-1], values[-2], out=out[-1])
+    out /= 2.0 * dr
+    return out
+
+
+def d_dz_values(values: np.ndarray, dz: float) -> np.ndarray:
+    """Centered periodic axial difference of raw node values.
+
+    Like d2_dz2_values, it runs along the flattened C-ordered array, which
+    is right for every column but the two wrap columns, then redoes those.
+    """
+    v = np.ascontiguousarray(values)
+    out = np.empty(v.shape)
+    flat, o = v.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2:], flat[:-2], out=o[1:-1])
+    np.subtract(v[:, 1], v[:, -1], out=out[:, 0])
+    np.subtract(v[:, 0], v[:, -2], out=out[:, -1])
+    out /= 2.0 * dz
+    return out
+
+
+def d2_dz2_values(values: np.ndarray, dz: float) -> np.ndarray:
+    """Periodic axial second difference of raw node values."""
+    v = np.ascontiguousarray(values)
+    out = v * -2.0
+    flat, o = v.reshape(-1), out.reshape(-1)
+    o[1:-1] += flat[2:]
+    o[1:-1] += flat[:-2]
+    out[:, 0] = v[:, 1] - 2.0 * v[:, 0] + v[:, -1]
+    out[:, -1] = v[:, 0] - 2.0 * v[:, -1] + v[:, -2]
+    out /= dz * dz
+    return out
 
 
 def d_dr(f: ScalarField) -> ScalarField:
     """Centered radial derivative. Flips parity (even <-> odd)."""
-    v = f.values
-    lo, hi = _ghosted_r(v, f.parity)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * f.grid.dr)
-    out[0] = (v[1] - lo) / (2.0 * f.grid.dr)
-    out[-1] = (hi - v[-2]) / (2.0 * f.grid.dr)
+    out = d_dr_values(f.values, f.grid.dr, f.parity)
     return ScalarField(f.grid, out, ODD if f.parity == EVEN else EVEN)
 
 
 def d_dz(f: ScalarField) -> ScalarField:
     """Centered axial derivative with periodic wraparound. Parity preserved."""
-    v = f.values
-    out = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * f.grid.dz)
-    return ScalarField(f.grid, out, f.parity)
+    return ScalarField(f.grid, d_dz_values(f.values, f.grid.dz), f.parity)
 
 
-def d2_dz2_values(values: np.ndarray, dz: float) -> np.ndarray:
-    return (
-        np.roll(values, -1, axis=1) - 2.0 * values + np.roll(values, 1, axis=1)
-    ) / (dz * dz)
-
-
-def radial_bands(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tridiagonal coefficients (sub, diag, sup) of d^2/dr^2 + (3/r) d/dr on
-    even-parity fields, with the axis ghost folded into diag[0] and the
-    Dirichlet wall ghost folded into diag[-1].  Shared by the operator
-    application and by the stream-function solver so that the two agree to
-    the last bit.
-    """
-    inv2 = 1.0 / (grid.dr * grid.dr)
-    s = 3.0 / (2.0 * grid.r * grid.dr)
-    sub = inv2 - s
-    sup = inv2 + s
-    diag = np.full(grid.nr, -2.0 * inv2)
-    diag[0] += sub[0]  # even ghost: f(-1) = f(0)
-    diag[-1] -= sup[-1]  # wall ghost: f(nr) = -f(nr-1)
-    sub = sub.copy()
-    sup = sup.copy()
-    sub[0] = 0.0
-    sup[-1] = 0.0
-    return sub, diag, sup
-
-
-def apply_radial_bands(
-    values: np.ndarray, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray
-) -> np.ndarray:
+def lap3_values(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """lap3 of the raw node values of an even-parity field."""
+    sub, diag, sup = grid.radial_bands
     out = diag[:, None] * values
     out[1:] += sub[1:, None] * values[:-1]
     out[:-1] += sup[:-1, None] * values[1:]
+    out += d2_dz2_values(values, grid.dz)
     return out
 
 
@@ -201,7 +224,4 @@ def modified_laplacian(f: ScalarField) -> ScalarField:
     """lap3(f) = f_rr + (3/r) f_r + f_zz for even-parity fields."""
     if f.parity != EVEN:
         raise ValueError("modified_laplacian is defined for even-parity fields only")
-    sub, diag, sup = radial_bands(f.grid)
-    out = apply_radial_bands(f.values, sub, diag, sup)
-    out += d2_dz2_values(f.values, f.grid.dz)
-    return ScalarField(f.grid, out, EVEN)
+    return ScalarField(f.grid, lap3_values(f.values, f.grid), EVEN)

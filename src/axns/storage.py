@@ -19,8 +19,9 @@ The series CSV has one header line (the MonitorRow column names) and one
 %.17g-formatted line per row, so parsing it back reproduces every float
 exactly.
 
-All writes land in a temporary file next to the target and are renamed
-into place, so a crash never leaves a partial file under the final name.
+All writes land in a uniquely named temporary file next to the target and
+are renamed into place, so a crash never leaves a partial file under the
+final name and two writers to one path never share a temporary file.
 """
 
 from __future__ import annotations
@@ -43,9 +44,16 @@ _HEADER = struct.Struct("<4sBii4d")
 
 def _atomic_write(path, data: bytes) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    # a name no other writer picks; "x" refuses to open an existing file
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _pack_array(vals: np.ndarray) -> bytes:

@@ -53,9 +53,7 @@ def test_column_order_frozen():
         "swirl_sup",
         "cfz_l2",
         "cfz_grad_int",
-        "cfz_l4_int",
         "phi_l2",
-        "gamma_l2",
         "om1_l2",
         "om1_grad_int",
         "u1_l4_int",

@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from axns.dynamics import BlowUpError, SolverConfig, rhs, run, stable_dt, step
+from axns.elliptic import solve_stream
 from axns.grid import (
     EVEN,
     GridSpec,
     ScalarField,
+    d_dr,
+    d_dz,
     field_from_function,
     make_grid,
+    modified_laplacian,
     zeros_field,
 )
-from axns.kinematics import State
-from axns.scenarios import Scenario
+from axns.kinematics import State, reconstruct_velocity
+from axns.scenarios import Scenario, manufactured_solution
 
 
 def swirl_cfg(grid_spec, nu=1.0, cfl=0.5, t_end=1.0):
@@ -32,6 +36,106 @@ def make_state(grid, u1=None, om1=None, psi1=None, t=0.0):
         psi1=psi1 if psi1 is not None else z,
         t=t,
     )
+
+
+def tendency(state, cfg, t, forcing=None):
+    """rhs on the arrays of a State."""
+    fields = (state.u1.values, state.omega1.values, state.psi1.values)
+    return rhs(state.grid, *fields, cfg.nu, t, forcing)
+
+
+def reference_rhs(state, nu, t, forcing=None):
+    """The tendency composed from the public ScalarField operators, in the
+    same arithmetic order as the array kernel."""
+    g = state.grid
+    r = g.r[:, None]
+    u1 = state.u1
+    om1 = state.omega1
+    dpsi_dz = d_dz(state.psi1).values
+    vr = -r * dpsi_dz
+    vz = 2.0 * state.psi1.values + r * d_dr(state.psi1).values
+    du1 = (
+        -(vr * d_dr(u1).values + vz * d_dz(u1).values)
+        + nu * modified_laplacian(u1).values
+        + 2.0 * u1.values * dpsi_dz
+    )
+    dom1 = (
+        -(vr * d_dr(om1).values + vz * d_dz(om1).values)
+        + nu * modified_laplacian(om1).values
+        + 2.0 * u1.values * d_dz(u1).values
+    )
+    if forcing is not None:
+        du1 += forcing.f_u(g, t)
+        dom1 += forcing.f_om(g, t)
+    return du1, dom1
+
+
+def reference_step(state, dt, nu, forcing=None):
+    """SSP-RK3 built from reference_rhs, with a State after every stage."""
+    g = state.grid
+    t = state.t
+
+    def advance(u, w, t_stage):
+        om = ScalarField(g, w, EVEN)
+        return State(ScalarField(g, u, EVEN), om, solve_stream(om), t_stage)
+
+    u0, w0 = state.u1.values, state.omega1.values
+    du, dw = reference_rhs(state, nu, t, forcing)
+    u_a, w_a = u0 + dt * du, w0 + dt * dw
+    s1 = advance(u_a, w_a, t + dt)
+    du, dw = reference_rhs(s1, nu, t + dt, forcing)
+    u_b = 0.75 * u0 + 0.25 * (u_a + dt * du)
+    w_b = 0.75 * w0 + 0.25 * (w_a + dt * dw)
+    s2 = advance(u_b, w_b, t + 0.5 * dt)
+    du, dw = reference_rhs(s2, nu, t + 0.5 * dt, forcing)
+    u_n = u0 / 3.0 + (2.0 / 3.0) * (u_b + dt * du)
+    w_n = w0 / 3.0 + (2.0 / 3.0) * (w_b + dt * dw)
+    return advance(u_n, w_n, t + dt)
+
+
+def random_state(grid, seed, t=0.0):
+    rng = np.random.default_rng(seed)
+    shape = (grid.nr, grid.nz)
+    om = ScalarField(grid, rng.standard_normal(shape), EVEN)
+    return State(
+        u1=ScalarField(grid, rng.standard_normal(shape), EVEN),
+        omega1=om,
+        psi1=solve_stream(om),
+        t=t,
+    )
+
+
+@pytest.fixture(scope="module")
+def grid16x12():
+    return make_grid(GridSpec(R=1.0, Lz=1.0, nr=16, nz=12))
+
+
+@pytest.fixture(scope="module", params=["unforced", "forced"])
+def forcing(request, grid16x12):
+    if request.param == "unforced":
+        return None
+    sc = Scenario(name="manufactured", amplitude=0.7, mode_k=1)
+    return manufactured_solution(grid16x12.spec, nu=0.1, scenario=sc)
+
+
+def test_rhs_matches_reference_bitwise(grid16x12, forcing):
+    state = random_state(grid16x12, seed=41, t=0.3)
+    cfg = swirl_cfg(grid16x12.spec, nu=0.1)
+    got = tendency(state, cfg, state.t, forcing)
+    want = reference_rhs(state, 0.1, state.t, forcing)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_step_matches_reference_bitwise(grid16x12, forcing):
+    state = random_state(grid16x12, seed=42, t=0.3)
+    cfg = swirl_cfg(grid16x12.spec, nu=0.1, t_end=1.0)
+    dt = 1e-3
+    got = step(state, dt, cfg, forcing)
+    want = reference_step(state, dt, 0.1, forcing)
+    assert got.t == want.t
+    for name in ("u1", "omega1", "psi1"):
+        assert np.array_equal(getattr(got, name).values, getattr(want, name).values)
 
 
 @pytest.mark.parametrize(
@@ -64,10 +168,10 @@ def test_rhs_pure_swirl_diffusion(grid64):
     k = 2 * np.pi
     u1 = field_from_function(g, lambda r, z: np.cos(k * z) + 0 * r, EVEN)
     cfg = swirl_cfg(GridSpec(R=1.0, Lz=1.0, nr=g.nr, nz=g.nz), nu=1.0)
-    out = rhs(make_state(g, u1=u1), cfg, 0.0)
+    du1, _ = tendency(make_state(g, u1=u1), cfg, 0.0)
     mu = (2.0 - 2.0 * math.cos(k * g.dz)) / g.dz**2
     want = -mu * np.cos(k * g.z)[None, :]
-    got = out.du1.values[:-1]
+    got = du1[:-1]
     assert np.allclose(got, np.broadcast_to(want, got.shape), atol=1e-11)
     assert math.isclose(mu, k**2, rel_tol=(k * g.dz) ** 2)
 
@@ -82,10 +186,10 @@ def test_rhs_vortex_stretching_source(grid64):
     cfg = SolverConfig(
         nu=1.0, cfl=0.5, t_end=1.0, grid=cfg.grid, scenario=cfg.scenario
     )
-    out = rhs(make_state(g, u1=u1), cfg, 0.0)
+    _, dom1 = tendency(make_state(g, u1=u1), cfg, 0.0)
     ktil = math.sin(k * g.dz) / g.dz
     want = -ktil * np.sin(2 * k * g.z)[None, :] * np.ones((g.nr, 1))
-    assert np.allclose(out.domega1.values, want, atol=1e-12)
+    assert np.allclose(dom1, want, atol=1e-12)
 
 
 def test_rhs_swirl_stretching_term(grid32):
@@ -97,10 +201,10 @@ def test_rhs_swirl_stretching_term(grid32):
     u1 = field_from_function(g, lambda r, z: 1.0 + 0 * r, EVEN)
     psi = field_from_function(g, lambda r, z: np.sin(k * z) + 0 * r, EVEN)
     cfg = swirl_cfg(GridSpec(R=1.0, Lz=1.0, nr=g.nr, nz=g.nz), nu=1.0)
-    out = rhs(make_state(g, u1=u1, psi1=psi), cfg, 0.0)
+    du1, _ = tendency(make_state(g, u1=u1, psi1=psi), cfg, 0.0)
     ktil = math.sin(k * g.dz) / g.dz
     want = 2.0 * ktil * np.cos(k * g.z)[None, :] * np.ones((g.nr, 1))
-    assert np.allclose(out.du1.values[:-1], want[:-1], atol=1e-11)
+    assert np.allclose(du1[:-1], want[:-1], atol=1e-11)
 
 
 def test_stable_dt_diffusive_limit():
@@ -119,11 +223,26 @@ def test_stable_dt_advective_limit():
     psi = field_from_function(g, lambda r, z: 5.0 + 0 * r, EVEN)
     state = make_state(g, psi1=psi)
     cfg = SolverConfig(nu=1e-6, cfl=0.5, t_end=100.0, grid=spec)
-    from axns.kinematics import reconstruct_velocity
-
     vz_max = float(np.max(np.abs(reconstruct_velocity(state).v_z.values)))
     dt = stable_dt(state, cfg)
     assert math.isclose(dt, 0.5 * g.dz / vz_max, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("nu", [1e-6, 0.1, 10.0])
+def test_stable_dt_matches_reconstructed_velocity_guard(grid16x12, nu):
+    # the guard as written on the six reconstructed components; nu = 1e-6
+    # is bound by advection, nu = 10 by diffusion
+    state = random_state(grid16x12, seed=43, t=0.2)
+    cfg = SolverConfig(nu=nu, cfl=0.5, t_end=1.0, grid=grid16x12.spec)
+    g = grid16x12
+    vel = reconstruct_velocity(state)
+    guards = [
+        (g.dr * g.dr * g.dz * g.dz) / (2.0 * nu * (g.dr * g.dr + g.dz * g.dz)),
+        g.dr / float(np.max(np.abs(vel.v_r.values))),
+        g.dz / float(np.max(np.abs(vel.v_z.values))),
+    ]
+    want = min(0.5 * min(guards), cfg.t_end - state.t)
+    assert stable_dt(state, cfg) == want
 
 
 def test_stable_dt_inviscid_rest_state_clamps():

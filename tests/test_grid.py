@@ -18,6 +18,7 @@ from axns.grid import (
     GridSpec,
     ScalarField,
     d_dr,
+    d2_dz2_values,
     d_dz,
     field_from_function,
     integrate_volume,
@@ -251,3 +252,15 @@ def test_norm_l2_matches_quadrature(grid16, rng):
     f = ScalarField(grid16, rng.standard_normal((grid16.nr, grid16.nz)), EVEN)
     direct = math.sqrt(float(np.sum(grid16.quad_w[:, None] * f.values**2)))
     assert math.isclose(norm_l2(f), direct, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("nr, nz", [(4, 4), (9, 6), (16, 12)])
+def test_z_stencils_match_rolled_form_bitwise(nr, nz):
+    # the wrap-column stencils do the arithmetic of the np.roll formulas
+    g = make_grid(GridSpec(R=1.0, Lz=0.7, nr=nr, nz=nz))
+    v = np.random.default_rng(nr + nz).standard_normal((nr, nz))
+    up, down = np.roll(v, -1, axis=1), np.roll(v, 1, axis=1)
+    assert np.array_equal(d_dz(ScalarField(g, v, EVEN)).values, (up - down) / (2.0 * g.dz))
+    want = (up - 2.0 * v + down) / (g.dz * g.dz)
+    assert np.array_equal(d2_dz2_values(v, g.dz), want)
+    assert np.array_equal(d2_dz2_values(np.asfortranarray(v), g.dz), want)

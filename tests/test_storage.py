@@ -172,3 +172,25 @@ def test_run_writer_layout(tmp_path):
     assert np.array_equal(disk[-1][0].u1.values, final.u1.values)
     svgs = sorted((out / "plots").glob("*.svg"))
     assert len(svgs) >= 5
+
+
+def test_write_ignores_foreign_temp_file(grid16, tmp_path):
+    # another writer's (or a crashed run's) "<name>.tmp" must not be reused
+    path = tmp_path / "snap_000000.axns"
+    (tmp_path / "snap_000000.axns.tmp").mkdir()
+    state = make_state(grid16, np.random.default_rng(7))
+    storage.write_snapshot(state, path, 0.1)
+    back, _ = storage.read_snapshot(path)
+    assert np.array_equal(back.omega1.values, state.omega1.values)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "snap_000000.axns",
+        "snap_000000.axns.tmp",
+    ]
+
+
+def test_failed_write_removes_temp_file(tmp_path):
+    target = tmp_path / "series.csv"
+    target.mkdir()  # renaming a file onto a directory fails
+    with pytest.raises(OSError):
+        storage._atomic_write(target, b"t\n")
+    assert list(tmp_path.iterdir()) == [target]
