@@ -6,6 +6,8 @@ time stepping, and a monitor series of weighted regularity functionals.
 
 Fields cross the API as ScalarField and State, except in the tendency kernel
 rhs(grid, u1, om1, psi1, nu, t, forcing=None) -> (du1, dom1) on raw arrays.
+The monitor kernel instantaneous(state, s) forms every column of one sample
+at once; sample(state, series, nu) appends it as a MonitorRow.
 """
 
 from .config import ConfigError, parse_config
@@ -13,13 +15,11 @@ from .diagnostics import (
     COLUMNS,
     CriteriaSeries,
     MonitorRow,
-    energy_budget,
+    instantaneous,
     lpq_norm,
     omega1_budget,
     quartic_check,
     sample,
-    swirl_sup,
-    weighted_swirl_report,
 )
 from .dynamics import BlowUpError, SolverConfig, rhs, run, stable_dt, step
 from .elliptic import solve_stream, stream_residual

@@ -20,6 +20,14 @@ One MonitorRow per sampled time, columns in this fixed order:
     quartic_lhs  int v_phi^4 dx
     quartic_rhs  swirl_sup^2 int u1^2 dx
 
+instantaneous(state, s) is the one place these formulas are written.  It
+takes each stencil once (the velocity from reconstruct_velocity, then
+d_dz of psi1 and u1, and d_dr/d_dz of w and om1), forms r^2 u1 and its
+maximum once for swirl_sup and quartic_rhs, and sums raw node values
+against grid.quad_w.  One finiteness check on the finished entries
+replaces a check per integrand.  criterion_A, criterion_B and
+quartic_check evaluate single columns for callers outside the series.
+
 No functional divides by r pointwise: the 1/r weights are absorbed into
 the reduced variables (v_r/r = -d_dz(psi1), v_phi/r = u1, om_phi/r = om1)
 or into explicit powers of r with nonnegative exponent.
@@ -44,7 +52,7 @@ import math
 
 import numpy as np
 
-from .grid import EVEN, ODD, Grid, ScalarField, d_dr, d_dz, integrate_volume, norm_l2
+from .grid import EVEN, ODD, Grid, ScalarField, d_dr, d_dz, integrate_volume
 from .kinematics import State, reconstruct_velocity
 
 
@@ -116,29 +124,14 @@ def _face_grad_sq(vals: np.ndarray, grid: Grid, wall_zero: bool) -> float:
     return float(total)
 
 
-def energy_budget(state: State) -> tuple[float, float]:
-    """Return (E, D) for one state."""
-    g = state.grid
-    vel = reconstruct_velocity(state)
-    w = g.quad_w[:, None]
-    vr, vphi, vz = vel.v_r.values, vel.v_phi.values, vel.v_z.values
-    E = 0.5 * float(np.sum(w * (vr * vr + vphi * vphi + vz * vz)))
-    vr_over_r = -d_dz(state.psi1).values
-    vphi_over_r = state.u1.values
-    D = (
-        _face_grad_sq(vr, g, wall_zero=True)
-        + _face_grad_sq(vphi, g, wall_zero=True)
-        + _face_grad_sq(vz, g, wall_zero=False)
-        + float(np.sum(w * (vr_over_r * vr_over_r + vphi_over_r * vphi_over_r)))
-    )
-    return E, D
+def _criterion_a(g: Grid, dpz: np.ndarray) -> float:
+    """critA from the node values dpz of d_dz(psi1)."""
+    return float(2.0 * np.pi * g.dr * g.dz * np.sum(dpz * dpz))
 
 
 def criterion_A(state: State) -> float:
     """int v_r^2 / r^3 dx via the reduced form 2 pi int (d_dz psi1)^2 dr dz."""
-    g = state.grid
-    dpz = d_dz(state.psi1).values
-    return float(2.0 * np.pi * g.dr * g.dz * np.sum(dpz * dpz))
+    return _criterion_a(state.grid, d_dz(state.psi1).values)
 
 
 def criterion_B(state: State) -> float:
@@ -148,86 +141,23 @@ def criterion_B(state: State) -> float:
     return float(2.0 * np.pi * g.dr * g.dz * np.sum((g.r[:, None] ** 2) * om * om))
 
 
-def swirl_sup(state: State) -> float:
-    """max |r^2 u1| = max |r v_phi|."""
-    g = state.grid
-    return float(np.max(np.abs((g.r[:, None] ** 2) * state.u1.values)))
+def _swirl_quartic(g: Grid, u: np.ndarray) -> tuple[float, float, float]:
+    """(max |r^2 u1|, int v_phi^4 dx, (max |r^2 u1|)^2 int u1^2 dx).
+
+    Both integrals are assembled elementwise with the same weights and
+    summed by the same reduction, so lhs <= rhs survives rounding exactly.
+    """
+    w = g.quad_w[:, None]
+    a = (g.r[:, None] ** 2) * u
+    usq = u * u
+    m = float(np.max(np.abs(a)))
+    return m, float(np.sum(w * ((a * a) * usq))), float(np.sum(w * ((m * m) * usq)))
 
 
 def quartic_check(state: State) -> tuple[float, float]:
-    """Pointwise bound int v_phi^4 dx <= (max |r^2 u1|)^2 int u1^2 dx.
-
-    Both sides are assembled elementwise with the same weights and summed
-    by the same reduction, so the inequality survives rounding exactly.
-    """
-    g = state.grid
-    w = g.quad_w[:, None]
-    u = state.u1.values
-    a = (g.r[:, None] ** 2) * u
-    usq = u * u
-    lhs = float(np.sum(w * ((a * a) * usq)))
-    m = float(np.max(np.abs(a)))
-    rhs = float(np.sum(w * ((m * m) * usq)))
-    return lhs, rhs
-
-
-def phi_gamma_norms(state: State) -> tuple[float, float]:
-    """L2 volume norms of Phi = -d_dz(u1) ( = om_r / r) and Gamma = om1."""
-    phi = norm_l2(d_dz(state.u1))
-    gamma = norm_l2(state.omega1)
-    return phi, gamma
-
-
-def cfz_quantities(state: State) -> tuple[float, float, float]:
-    """Quantities built on w = v_phi^2 / r = r u1^2 (odd parity):
-
-    returns (int w^2 dx, int |grad w|^2 dx, int u1^4 dx).
-    """
-    g = state.grid
-    u = state.u1.values
-    wfield = ScalarField(g, g.r[:, None] * u * u, ODD)
-    wsq = integrate_volume(ScalarField(g, wfield.values**2, EVEN))
-    gw_r = d_dr(wfield).values
-    gw_z = d_dz(wfield).values
-    grad = integrate_volume(ScalarField(g, gw_r * gw_r + gw_z * gw_z, EVEN))
-    l4 = integrate_volume(ScalarField(g, u**4, EVEN))
-    return wsq, grad, l4
-
-
-def omega1_energy(state: State) -> tuple[float, float]:
-    """(||om1||_L2, int |grad om1|^2 dx)."""
-    g_r = d_dr(state.omega1).values
-    g_z = d_dz(state.omega1).values
-    grad = integrate_volume(
-        ScalarField(state.grid, g_r * g_r + g_z * g_z, EVEN)
-    )
-    return norm_l2(state.omega1), grad
-
-
-def weighted_swirl_report(state: State, s: int = 4) -> tuple[float, float, float]:
-    """Monitors of u_alpha = r^(2 - alpha) u1 with alpha = 3/s:
-
-    returns (int |u_alpha|^s dx,
-             int |grad |u_alpha|^(s/2)|^2 dx,
-             int |u_alpha|^s / r^2 dx).
-
-    The last exponent is 2s - 5 >= 1 for s >= 3, so no negative powers of
-    r are evaluated.  |u_alpha|^(s/2) vanishes like r^(3/2) at the axis
-    and is differentiated with odd parity.
-    """
-    if s < 3:
-        raise ValueError(f"s must be an integer >= 3, got {s}")
-    g = state.grid
-    alpha = 3.0 / s
-    r = g.r[:, None]
-    absu = np.abs(state.u1.values)
-    ua_s = integrate_volume(ScalarField(g, r ** (2.0 * s - 3.0) * absu**s, EVEN))
-    half_pow = ScalarField(g, r ** (s - 1.5) * absu ** (s / 2.0), ODD)
-    hr = d_dr(half_pow).values
-    hz = d_dz(half_pow).values
-    grad = integrate_volume(ScalarField(g, hr * hr + hz * hz, EVEN))
-    weighted = integrate_volume(ScalarField(g, r ** (2.0 * s - 5.0) * absu**s, EVEN))
-    return ua_s, grad, weighted
+    """Pointwise bound int v_phi^4 dx <= (max |r^2 u1|)^2 int u1^2 dx,
+    returned as (lhs, rhs)."""
+    return _swirl_quartic(state.grid, state.u1.values)[1:]
 
 
 def lpq_norm(samples: Sequence[tuple[float, ScalarField]], p: float, q: float) -> float:
@@ -282,17 +212,52 @@ def omega1_budget(series: CriteriaSeries, nu: float) -> tuple[np.ndarray, np.nda
     return lhs, rhs
 
 
-def _instantaneous(state: State, s: int) -> dict:
-    """Instantaneous functionals, keyed by column name or, for a running
-    integral <key>_int, by <key>."""
-    inst = dict(zip(("E", "D"), energy_budget(state)))
-    inst.update(critA=criterion_A(state), critB=criterion_B(state))
-    inst["swirl_sup"] = swirl_sup(state)
-    inst.update(zip(("cfz_l2", "cfz_grad", "u1_l4"), cfz_quantities(state)))
-    inst["phi_l2"] = phi_gamma_norms(state)[0]
-    inst.update(zip(("om1_l2", "om1_grad"), omega1_energy(state)))
-    inst["ualpha_s"] = weighted_swirl_report(state, s)[0]
-    inst.update(zip(("quartic_lhs", "quartic_rhs"), quartic_check(state)))
+def instantaneous(state: State, s: int = 4) -> dict:
+    """Instantaneous functionals of one state, keyed by column name or, for
+    a running integral <key>_int, by <key>; see the module docstring.  A
+    non-finite entry (an overflow) raises ValueError.
+    """
+    if s < 3:
+        raise ValueError(f"s must be an integer >= 3, got {s}")
+    g = state.grid
+    w = g.quad_w[:, None]
+    r = g.r[:, None]
+    u = state.u1.values
+    om = state.omega1.values
+    vel = reconstruct_velocity(state)
+    vr, vphi, vz = vel.v_r.values, vel.v_phi.values, vel.v_z.values
+    dpz = d_dz(state.psi1).values  # -v_r / r
+    du_z = d_dz(state.u1).values  # -om_r / r
+    # v_phi^2 / r = r u1^2 (w in the column table) vanishes at the axis: odd
+    cfz = ScalarField(g, r * u * u, ODD)
+    cfz_dr, cfz_dz = d_dr(cfz).values, d_dz(cfz).values
+    om_dr, om_dz = d_dr(state.omega1).values, d_dz(state.omega1).values
+    sup, q_lhs, q_rhs = _swirl_quartic(g, u)
+    inst = {
+        "E": 0.5 * float(np.sum(w * (vr * vr + vphi * vphi + vz * vz))),
+        "D": (
+            _face_grad_sq(vr, g, wall_zero=True)
+            + _face_grad_sq(vphi, g, wall_zero=True)
+            + _face_grad_sq(vz, g, wall_zero=False)
+            + float(np.sum(w * (dpz * dpz + u * u)))
+        ),
+        "critA": _criterion_a(g, dpz),
+        "critB": criterion_B(state),
+        "swirl_sup": sup,
+        "cfz_l2": float(np.sum(cfz.values**2 * w)),
+        "cfz_grad": float(np.sum((cfz_dr * cfz_dr + cfz_dz * cfz_dz) * w)),
+        "u1_l4": float(np.sum(u**4 * w)),
+        "phi_l2": float(np.sqrt(np.sum(du_z * du_z * w))),
+        "om1_l2": float(np.sqrt(np.sum(om * om * w))),
+        "om1_grad": float(np.sum((om_dr * om_dr + om_dz * om_dz) * w)),
+        # u_alpha = r^(2 - 3/s) u1, so |u_alpha|^s = r^(2s - 3) |u1|^s
+        "ualpha_s": float(np.sum(r ** (2.0 * s - 3.0) * np.abs(u) ** s * w)),
+        "quartic_lhs": q_lhs,
+        "quartic_rhs": q_rhs,
+    }
+    bad = [k for k, v in inst.items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"instantaneous: non-finite monitor values {bad}")
     return inst
 
 
@@ -303,10 +268,10 @@ def sample(state: State, series: CriteriaSeries, nu: float) -> MonitorRow:
     if meta_nu is not None and not math.isclose(meta_nu, nu, rel_tol=1e-12):
         raise ValueError(f"sample: nu {nu} does not match series metadata {meta_nu}")
     s = int(series.meta.get("s", 4))
-    inst = _instantaneous(state, s)
+    inst = instantaneous(state, s)
     t = state.t
     last = series.rows[-1] if series.rows else None
-    if last is not None and t <= last.t:
+    if last is not None and not t > last.t:
         raise ValueError(f"sample: time {t} not after previous row {last.t}")
     # a column <key>_int is the running trapezoid of the instantaneous <key>
     values = {"t": t}

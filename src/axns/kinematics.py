@@ -1,4 +1,4 @@
-"""Solver state and velocity/vorticity reconstruction.
+"""Solver state and velocity reconstruction.
 
 The state carries three even-parity scalars on one grid:
 
@@ -12,13 +12,11 @@ recovered as
     v_r   = -r d_dz(psi1)            (odd)
     v_phi =  r u1                    (odd)
     v_z   =  2 psi1 + r d_dr(psi1)   (even)
-    om_r  = -r d_dz(u1)              (odd)
-    om_phi=  r om1                   (odd)
-    om_z  =  r d_dr(u1) + 2 u1       (even)
 
-Quantities that carry a 1/r weight are always formed from the reduced
-variables (v_r / r = -d_dz(psi1), v_phi / r = u1, ...) so nothing here
-divides by r.
+and the vorticity as om_phi = r om1.  Quantities that carry a 1/r weight
+are always formed from the reduced variables (v_r / r = -d_dz(psi1),
+v_phi / r = u1, ...), so nothing divides by r except divergence_residual,
+whose v_r carries an exact factor r.
 """
 
 from __future__ import annotations
@@ -56,14 +54,11 @@ class State:
 
 @dataclass(eq=False)
 class VelocityFields:
-    """Reconstructed velocity and vorticity components."""
+    """Reconstructed velocity components."""
 
     v_r: ScalarField
     v_phi: ScalarField
     v_z: ScalarField
-    om_r: ScalarField
-    om_phi: ScalarField
-    om_z: ScalarField
 
 
 def reconstruct_velocity(state: State) -> VelocityFields:
@@ -71,15 +66,10 @@ def reconstruct_velocity(state: State) -> VelocityFields:
     r = g.r[:, None]
     dpsi_dz = d_dz(state.psi1).values
     dpsi_dr = d_dr(state.psi1).values
-    du1_dz = d_dz(state.u1).values
-    du1_dr = d_dr(state.u1).values
     return VelocityFields(
         v_r=ScalarField(g, -r * dpsi_dz, ODD),
         v_phi=ScalarField(g, r * state.u1.values, ODD),
         v_z=ScalarField(g, 2.0 * state.psi1.values + r * dpsi_dr, EVEN),
-        om_r=ScalarField(g, -r * du1_dz, ODD),
-        om_phi=ScalarField(g, r * state.omega1.values, ODD),
-        om_z=ScalarField(g, r * du1_dr + 2.0 * state.u1.values, EVEN),
     )
 
 

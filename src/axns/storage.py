@@ -19,13 +19,15 @@ The series CSV has one header line (the MonitorRow column names) and one
 %.17g-formatted line per row, so parsing it back reproduces every float
 exactly.
 
-All writes land in a uniquely named temporary file next to the target and
-are renamed into place, so a crash never leaves a partial file under the
-final name and two writers to one path never share a temporary file.
+All writes, plots included, land in a uniquely named temporary file next
+to the target and are renamed into place, so a crash never leaves a
+partial file under the final name and two writers to one path never share
+a temporary file.  Snapshot headers with a non-finite t or nu are refused.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -83,6 +85,8 @@ def read_snapshot(path) -> tuple[State, float]:
         raise ValueError(f"bad snapshot magic {magic!r} in {path}")
     if version != VERSION:
         raise ValueError(f"unsupported snapshot version {version} in {path}")
+    if not (math.isfinite(t) and math.isfinite(nu)):
+        raise ValueError(f"non-finite header value in {path}: t={t}, nu={nu}")
     expect = _HEADER.size + 3 * nr * nz * 8
     if len(buf) != expect:
         raise ValueError(
@@ -114,7 +118,7 @@ def read_snapshot_dir(dirpath) -> list[tuple[State, float]]:
     loaded = [read_snapshot(p) for p in paths]
     spec0, nu0 = loaded[0][0].grid.spec, loaded[0][1]
     for (a, _), (b, nu) in zip(loaded, loaded[1:]):
-        if b.t <= a.t:
+        if not b.t > a.t:
             raise ValueError(
                 f"snapshot times not increasing in {dirpath}: {a.t} then {b.t}"
             )
@@ -171,4 +175,5 @@ class RunWriter:
         if len(series.rows) >= 2:
             plot_dir = self.root / "plots"
             plot_dir.mkdir(parents=True, exist_ok=True)
-            emit_plots(series, plot_dir)
+            for name, text in emit_plots(series).items():
+                _atomic_write(plot_dir / name, text.encode("utf-8"))

@@ -11,6 +11,7 @@ ring contaminates the observed interior order.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -225,23 +226,8 @@ def self_convergence_study(cfg: SolverConfig, n_levels: int = 3) -> list[float]:
         raise ValueError("self_convergence_study: need at least 2 levels")
     finals = []
     for lev in range(n_levels):
-        spec = GridSpec(
-            R=cfg.grid.R,
-            Lz=cfg.grid.Lz,
-            nr=cfg.grid.nr * 2**lev,
-            nz=cfg.grid.nz * 2**lev,
-        )
-        c = SolverConfig(
-            nu=cfg.nu,
-            cfl=cfg.cfl,
-            t_end=cfg.t_end,
-            grid=spec,
-            scenario=cfg.scenario,
-            output_every=10_000_000,
-            s=cfg.s,
-            forcing_enabled=cfg.forcing_enabled,
-        )
-        final, _, _ = run(c)
+        spec = replace(cfg.grid, nr=cfg.grid.nr * 2**lev, nz=cfg.grid.nz * 2**lev)
+        final, _, _ = run(replace(cfg, grid=spec, output_every=10_000_000))
         finals.append(final)
     errors = []
     for coarse, fine in zip(finals, finals[1:]):

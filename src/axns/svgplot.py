@@ -1,16 +1,14 @@
 """Hand-rolled SVG line plots for monitor series.
 
-No plotting dependency: the emitted documents are small, well-formed XML
+No plotting dependency: the rendered documents are small, well-formed XML
 that tests parse back with xml.etree to check the plotted geometry.  The
 vertical pixel axis points down, so a curve of nondecreasing data has
-nonincreasing y coordinates in the polyline.
+nonincreasing y coordinates in the polyline.  Nothing here touches the
+file system: storage.RunWriter writes the files.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from pathlib import Path
 from xml.sax.saxutils import escape
 
 W, H = 640, 420
@@ -18,32 +16,15 @@ ML, MR, MT, MB = 76, 24, 44, 52
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
-def _atomic_text(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def render_line_plot(title, xlabel, curves, log_y: bool = False) -> str:
-    """Render curves = [(label, xs, ys), ...] to an SVG document string.
-
-    log_y plots log10 of the data and falls back to linear if any value
-    is not strictly positive.
-    """
+def render_line_plot(title, xlabel, curves) -> str:
+    """Render curves = [(label, xs, ys), ...] to an SVG document string."""
     if not curves:
         raise ValueError("render_line_plot: no curves")
     for label, xs, ys in curves:
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError(f"render_line_plot: curve {label!r} needs >= 2 points")
-    if log_y and any(y <= 0 for _, _, ys in curves for y in ys):
-        log_y = False
-
-    def ty(y):
-        return math.log10(y) if log_y else y
-
     all_x = [x for _, xs, _ in curves for x in xs]
-    all_y = [ty(y) for _, _, ys in curves for y in ys]
+    all_y = [y for _, _, ys in curves for y in ys]
     xmin, xmax = min(all_x), max(all_x)
     ymin, ymax = min(all_y), max(all_y)
     if xmax <= xmin:
@@ -83,7 +64,7 @@ def render_line_plot(title, xlabel, curves, log_y: bool = False) -> str:
         )
         yv = ymin + (ymax - ymin) * k / (nticks - 1)
         yp = H - MB - (H - MT - MB) * k / (nticks - 1)
-        label = "%.4g" % (10.0**yv if log_y else yv)
+        label = "%.4g" % yv
         out.append(
             f'<line x1="{ML - 5}" y1="{yp:.2f}" x2="{ML}" y2="{yp:.2f}" '
             'stroke="black"/>'
@@ -92,13 +73,9 @@ def render_line_plot(title, xlabel, curves, log_y: bool = False) -> str:
             f'<text x="{ML - 8}" y="{yp + 4:.2f}" text-anchor="end" '
             f'font-size="11">{escape(label)}</text>'
         )
-    if log_y:
-        out.append(
-            f'<text x="16" y="{MT - 6}" font-size="11">log scale</text>'
-        )
     for n, (label, xs, ys) in enumerate(curves):
         color = PALETTE[n % len(PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(ty(y)):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{pts}"/>'
@@ -116,8 +93,9 @@ def render_line_plot(title, xlabel, curves, log_y: bool = False) -> str:
     return "\n".join(out) + "\n"
 
 
-def emit_plots(series, dirpath, log_criteria: bool = False) -> list[Path]:
-    """Write the standard plot set for one run; needs >= 2 rows."""
+def emit_plots(series) -> dict[str, str]:
+    """Render the standard plot set for one run as {file name: SVG text};
+    needs >= 2 rows."""
     rows = series.rows
     if len(rows) < 2:
         raise ValueError(f"emit_plots: need at least 2 rows, got {len(rows)}")
@@ -127,26 +105,13 @@ def emit_plots(series, dirpath, log_criteria: bool = False) -> list[Path]:
         return [getattr(r, name) for r in rows]
 
     specs = [
-        ("energy.svg", "kinetic energy", [("E", col("E"))], False),
-        ("dissipation.svg", "dissipation integral", [("D", col("D"))], False),
-        (
-            "criteria.svg",
-            "axis criteria",
-            [("critA", col("critA")), ("critB", col("critB"))],
-            log_criteria,
-        ),
-        (
-            "criteria_int.svg",
-            "time-integrated criteria",
-            [("critA_int", col("critA_int")), ("critB_int", col("critB_int"))],
-            log_criteria,
-        ),
-        ("swirl.svg", "swirl maximum", [("swirl_sup", col("swirl_sup"))], False),
+        ("energy.svg", "kinetic energy", ("E",)),
+        ("dissipation.svg", "dissipation integral", ("D",)),
+        ("criteria.svg", "axis criteria", ("critA", "critB")),
+        ("criteria_int.svg", "time-integrated criteria", ("critA_int", "critB_int")),
+        ("swirl.svg", "swirl maximum", ("swirl_sup",)),
     ]
-    made = []
-    out = Path(dirpath)
-    for fname, title, named, logy in specs:
-        curves = [(label, t, ys) for label, ys in named]
-        _atomic_text(out / fname, render_line_plot(title, "t", curves, log_y=logy))
-        made.append(out / fname)
-    return made
+    return {
+        fname: render_line_plot(title, "t", [(name, t, col(name)) for name in names])
+        for fname, title, names in specs
+    }

@@ -1,4 +1,5 @@
-"""Monitor quantities: frozen closed forms and running-integral behavior.
+"""Monitor quantities: frozen closed forms, the monitor kernel against a
+reference assembled from the public stencils, and running-integral behavior.
 
 Midpoint-rule identities reused from test_grid plus
     sum (i+1/2)^4 Dr^5 = R^5/5 - R^3 Dr^2/6 + 7 R Dr^4/240.
@@ -16,10 +17,15 @@ from hypothesis import given, strategies as st
 from axns import diagnostics as dg
 from axns.grid import (
     EVEN,
+    ODD,
     GridSpec,
     ScalarField,
+    d_dr,
+    d_dz,
     field_from_function,
+    integrate_volume,
     make_grid,
+    norm_l2,
     zeros_field,
 )
 from axns.kinematics import State
@@ -66,7 +72,7 @@ def test_column_order_frozen():
 def test_energy_constant_swirl(grid64):
     # v_phi = c r: E = (c^2/2) int r^2 dx = pi c^2 Lz (R^4/4 - R^2 Dr^2/8)
     c = 1.3
-    E, _ = dg.energy_budget(const_u1_state(grid64, c))
+    E = dg.instantaneous(const_u1_state(grid64, c))["E"]
     want = math.pi * c * c * (0.25 - grid64.dr**2 / 8.0)
     assert math.isclose(E, want, rel_tol=1e-12)
     assert math.isclose(E, math.pi * c * c / 4.0, rel_tol=3e-4)
@@ -78,7 +84,7 @@ def test_dissipation_constant_swirl(grid32):
     # c r_{nr-1} / (Dr/2), and the weighted swirl term integrates c^2.
     c = 0.8
     g = grid32
-    _, D = dg.energy_budget(const_u1_state(g, c))
+    D = dg.instantaneous(const_u1_state(g, c))["D"]
     R = 1.0
     faces = math.pi * R * (R - g.dr)
     wall = math.pi * R * (2 * R - g.dr) ** 2 / g.dr
@@ -93,7 +99,7 @@ def test_dissipation_constant_stream(grid32):
     c = 0.6
     g = grid32
     psi = field_from_function(g, lambda r, z: c + 0 * r, EVEN)
-    _, D = dg.energy_budget(make_state(g, psi1=psi))
+    D = dg.instantaneous(make_state(g, psi1=psi))["D"]
     R = 1.0
     r_last = g.r[-1]
     vz_wall = 2 * c - c * r_last / g.dr
@@ -124,12 +130,15 @@ def test_criterion_b_constant(grid64):
 
 
 def test_swirl_sup_values(grid32):
-    assert dg.swirl_sup(const_u1_state(grid32, 1.0)) == pytest.approx(
+    def swirl_sup(state):
+        return dg.instantaneous(state)["swirl_sup"]
+
+    assert swirl_sup(const_u1_state(grid32, 1.0)) == pytest.approx(
         (1.0 - grid32.dr / 2) ** 2, rel=1e-14
     )
     inv = field_from_function(grid32, lambda r, z: 1.0 / (r * r) + 0 * z, EVEN)
-    assert dg.swirl_sup(make_state(grid32, u1=inv)) == pytest.approx(1.0, rel=1e-14)
-    assert dg.swirl_sup(make_state(grid32)) == 0.0
+    assert swirl_sup(make_state(grid32, u1=inv)) == pytest.approx(1.0, rel=1e-14)
+    assert swirl_sup(make_state(grid32)) == 0.0
 
 
 @given(seed=st.integers(0, 2**32 - 1), amp=st.floats(1e-6, 1e3))
@@ -152,11 +161,17 @@ def test_phi_gamma_norms(grid64):
     k = 2 * np.pi
     u1 = field_from_function(g, lambda r, z: np.cos(k * z) + 0 * r, EVEN)
     om = field_from_function(g, lambda r, z: 1.0 + 0 * r, EVEN)
-    phi, gamma = dg.phi_gamma_norms(make_state(g, u1=u1, om1=om))
+    inst = dg.instantaneous(make_state(g, u1=u1, om1=om))
+    phi, gamma = inst["phi_l2"], inst["om1_l2"]
     ktil = math.sin(k * g.dz) / g.dz
     assert math.isclose(phi, ktil * math.sqrt(math.pi / 2), rel_tol=1e-12)
     assert math.isclose(phi, k * math.sqrt(math.pi / 2), rel_tol=2e-3)
     assert math.isclose(gamma, math.sqrt(math.pi), rel_tol=1e-13)
+
+
+def cfz_entries(state):
+    inst = dg.instantaneous(state)
+    return inst["cfz_l2"], inst["cfz_grad"], inst["u1_l4"]
 
 
 def test_cfz_constant_swirl(grid32):
@@ -164,7 +179,7 @@ def test_cfz_constant_swirl(grid32):
     # forms; the gradient entry picks up the wall ring, where the mirrored
     # ghost of the (nonvanishing) probe gives slope -(R - Dr)/Dr
     g = grid32
-    wsq, grad, l4 = dg.cfz_quantities(const_u1_state(g, 1.0))
+    wsq, grad, l4 = cfz_entries(const_u1_state(g, 1.0))
     assert math.isclose(wsq, 2 * math.pi * (0.25 - g.dr**2 / 8.0), rel_tol=1e-13)
     assert math.isclose(l4, math.pi, rel_tol=1e-13)
     R = 1.0
@@ -180,7 +195,7 @@ def test_cfz_conforming_bump():
     for n in (48, 96):
         g = make_grid(GridSpec(R=1.0, Lz=1.0, nr=n, nz=8))
         u1 = field_from_function(g, lambda r, z: (1 - r * r) ** 2 + 0 * z, EVEN)
-        wsq, grad, l4 = dg.cfz_quantities(make_state(g, u1=u1))
+        wsq, grad, l4 = cfz_entries(make_state(g, u1=u1))
         errs.append(
             (
                 abs(wsq - math.pi / 90),
@@ -196,24 +211,91 @@ def test_cfz_conforming_bump():
 def test_weighted_swirl_closed_forms(grid64):
     g = grid64
     st3 = const_u1_state(g, 1.0)
-    # s = 3: int r^3 dx = 2 pi (R^5/5 - R^3 Dr^2/6 + 7 R Dr^4/240) exactly,
-    # and the r^(2s-5) weight reduces to int r dx
-    ua3, grad3, w3 = dg.weighted_swirl_report(st3, s=3)
+    # s = 3: int r^3 dx = 2 pi (R^5/5 - R^3 Dr^2/6 + 7 R Dr^4/240) exactly
+    ua3 = dg.instantaneous(st3, s=3)["ualpha_s"]
     want3 = 2 * math.pi * (0.2 - g.dr**2 / 6.0 + 7.0 * g.dr**4 / 240.0)
     assert math.isclose(ua3, want3, rel_tol=1e-13)
     assert math.isclose(ua3, 2 * math.pi / 5, rel_tol=1e-3)
-    assert math.isclose(w3, 2 * math.pi * (1.0 / 3.0 - g.dr**2 / 12.0), rel_tol=1e-13)
-    assert grad3 > 0
-    # s = 4: int r^5 dx -> 2 pi/7 at second order; the r^(2s-5) weight is
-    # r^3, whose midpoint sum is the same closed form as ua3
-    ua4, _, w4 = dg.weighted_swirl_report(st3, s=4)
+    # s = 4: int r^5 dx -> 2 pi/7 at second order
+    ua4 = dg.instantaneous(st3, s=4)["ualpha_s"]
     assert math.isclose(ua4, 2 * math.pi / 7, rel_tol=2e-3)
-    assert math.isclose(w4, want3, rel_tol=1e-13)
 
 
 def test_weighted_swirl_rejects_small_s(grid16):
     with pytest.raises(ValueError):
-        dg.weighted_swirl_report(make_state(grid16), s=2)
+        dg.instantaneous(make_state(grid16), s=2)
+
+
+def reference_instantaneous(state, s):
+    """The monitor entries as separate per-quantity helpers form them: each
+    from its own stencils, each integrand through integrate_volume."""
+    g = state.grid
+    r = g.r[:, None]
+    w = g.quad_w[:, None]
+    u, om = state.u1.values, state.omega1.values
+    vr = -r * d_dz(state.psi1).values
+    vphi = r * u
+    vz = 2.0 * state.psi1.values + r * d_dr(state.psi1).values
+    vr_over_r = -d_dz(state.psi1).values
+    E = 0.5 * float(np.sum(w * (vr * vr + vphi * vphi + vz * vz)))
+    D = (
+        dg._face_grad_sq(vr, g, wall_zero=True)
+        + dg._face_grad_sq(vphi, g, wall_zero=True)
+        + dg._face_grad_sq(vz, g, wall_zero=False)
+        + float(np.sum(w * (vr_over_r * vr_over_r + u * u)))
+    )
+    dpz = d_dz(state.psi1).values
+    critA = float(2.0 * np.pi * g.dr * g.dz * np.sum(dpz * dpz))
+    critB = float(2.0 * np.pi * g.dr * g.dz * np.sum((r**2) * om * om))
+    swirl_sup = float(np.max(np.abs((r**2) * u)))
+    a = (r**2) * u
+    m = float(np.max(np.abs(a)))
+    quartic_lhs = float(np.sum(w * ((a * a) * (u * u))))
+    quartic_rhs = float(np.sum(w * ((m * m) * (u * u))))
+    wfield = ScalarField(g, r * u * u, ODD)
+    cfz_l2 = integrate_volume(ScalarField(g, wfield.values**2, EVEN))
+    gw_r, gw_z = d_dr(wfield).values, d_dz(wfield).values
+    cfz_grad = integrate_volume(ScalarField(g, gw_r * gw_r + gw_z * gw_z, EVEN))
+    u1_l4 = integrate_volume(ScalarField(g, u**4, EVEN))
+    phi_l2 = norm_l2(d_dz(state.u1))
+    om1_l2 = norm_l2(state.omega1)
+    go_r, go_z = d_dr(state.omega1).values, d_dz(state.omega1).values
+    om1_grad = integrate_volume(ScalarField(g, go_r * go_r + go_z * go_z, EVEN))
+    ualpha_s = integrate_volume(
+        ScalarField(g, r ** (2.0 * s - 3.0) * np.abs(u) ** s, EVEN)
+    )
+    return dict(
+        E=E, D=D, critA=critA, critB=critB, swirl_sup=swirl_sup,
+        cfz_l2=cfz_l2, cfz_grad=cfz_grad, u1_l4=u1_l4, phi_l2=phi_l2,
+        om1_l2=om1_l2, om1_grad=om1_grad, ualpha_s=ualpha_s,
+        quartic_lhs=quartic_lhs, quartic_rhs=quartic_rhs,
+    )
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_instantaneous_matches_reference_bitwise(s, seed):
+    g = make_grid(GridSpec(R=1.0, Lz=1.0, nr=16, nz=12))
+    rng = np.random.default_rng(seed)
+    fields = [
+        ScalarField(g, rng.standard_normal((g.nr, g.nz)), EVEN) for _ in range(3)
+    ]
+    state = State(u1=fields[0], omega1=fields[1], psi1=fields[2], t=0.0)
+    got = dg.instantaneous(state, s)
+    want = reference_instantaneous(state, s)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == value, key
+    assert got["critA"] == dg.criterion_A(state)
+    assert got["critB"] == dg.criterion_B(state)
+    assert (got["quartic_lhs"], got["quartic_rhs"]) == dg.quartic_check(state)
+
+
+def test_instantaneous_rejects_overflow(grid16):
+    # |u1|^4 overflows to inf; the finished row is checked once
+    u1 = field_from_function(grid16, lambda r, z: 1e100 + 0 * r, EVEN)
+    with pytest.raises(ValueError, match="u1_l4"):
+        dg.instantaneous(make_state(grid16, u1=u1))
 
 
 def test_lpq_constant_closed_form(grid32):
@@ -277,7 +359,8 @@ def test_sample_running_integrals(grid32):
     assert r0.critA_int == 0.0
     assert math.isclose(r1.critA_int, 0.25 * r1.critA, rel_tol=1e-14)
     assert math.isclose(r1.critB_int, 0.25 * r1.critB, rel_tol=1e-14)
-    assert math.isclose(r1.om1_grad_int, 0.25 * dg.omega1_energy(s1)[1], rel_tol=1e-14)
+    om1_grad = dg.instantaneous(s1)["om1_grad"]
+    assert math.isclose(r1.om1_grad_int, 0.25 * om1_grad, rel_tol=1e-14)
     assert len(series.rows) == 2
 
 
@@ -292,6 +375,8 @@ def test_sample_rejects_time_reversal(grid16):
     dg.sample(make_state(grid16, t=1.0), series, nu=0.1)
     with pytest.raises(ValueError):
         dg.sample(make_state(grid16, t=0.5), series, nu=0.1)
+    with pytest.raises(ValueError):
+        dg.sample(make_state(grid16, t=math.nan), series, nu=0.1)
 
 
 def test_omega1_budget_shapes_and_zero(grid16):

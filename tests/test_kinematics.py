@@ -56,15 +56,14 @@ def test_state_validation(grid16, grid32):
 
 def test_zero_state_reconstructs_to_zero(grid16):
     vel = reconstruct_velocity(make_state(grid16))
-    for f in (vel.v_r, vel.v_phi, vel.v_z, vel.om_r, vel.om_phi, vel.om_z):
+    for f in (vel.v_r, vel.v_phi, vel.v_z):
         assert np.max(np.abs(f.values)) == 0.0
 
 
 def test_reconstruct_parities(grid16):
     vel = reconstruct_velocity(make_state(grid16))
     assert vel.v_r.parity == ODD and vel.v_phi.parity == ODD
-    assert vel.om_r.parity == ODD and vel.om_phi.parity == ODD
-    assert vel.v_z.parity == EVEN and vel.om_z.parity == EVEN
+    assert vel.v_z.parity == EVEN
 
 
 def test_constant_stream_function(grid32):
@@ -83,7 +82,6 @@ def test_swirl_scaling(grid32):
     vel = reconstruct_velocity(make_state(grid32, u1=u))
     want = 1.5 * grid32.r[:, None] * np.ones((1, grid32.nz))
     assert np.allclose(vel.v_phi.values, want, rtol=1e-14)
-    assert np.allclose(vel.om_phi.values, 0.0, atol=0)
 
 
 def test_single_mode_stream(grid64):

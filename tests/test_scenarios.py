@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from axns.diagnostics import swirl_sup
+from axns.diagnostics import instantaneous
 from axns.elliptic import stream_residual
 from axns.grid import GridSpec, make_grid, norm_l2
 from axns.scenarios import Scenario, init_scenario, manufactured_solution
@@ -24,7 +24,7 @@ def test_zero_amplitude_ring(grid16):
 
 def test_pure_swirl_finite_sup(grid32):
     state = init_scenario(Scenario(name="pure_swirl", amplitude=1.0), grid32)
-    sup = swirl_sup(state)
+    sup = instantaneous(state)["swirl_sup"]
     assert np.isfinite(sup) and sup > 0.0
     assert np.max(np.abs(state.omega1.values)) == 0.0
     assert np.max(np.abs(state.psi1.values)) == 0.0

@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -112,6 +113,24 @@ def test_snapshot_dir_mixed_nu(grid16, grid32, tmp_path):
         assert main(["criteria", "--snapshots", str(d), "--out", str(d / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("field,offset", [("t", 29), ("nu", 37)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_snapshot_rejects_non_finite_header(grid16, tmp_path, field, offset, bad):
+    for n in range(3):
+        storage.write_snapshot(
+            make_state(grid16, t=0.1 * n), tmp_path / f"snap_{n:06d}.axns", nu=0.1
+        )
+    path = tmp_path / "snap_000001.axns"
+    raw = bytearray(path.read_bytes())
+    raw[offset : offset + 8] = struct.pack("<d", bad)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*{field}="):
+        storage.read_snapshot(path)
+    code = main(["criteria", "--snapshots", str(tmp_path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_snapshot_dir_empty(tmp_path):
     with pytest.raises(ValueError):
         storage.read_snapshot_dir(tmp_path)
@@ -172,6 +191,31 @@ def test_run_writer_layout(tmp_path):
     assert np.array_equal(disk[-1][0].u1.values, final.u1.values)
     svgs = sorted((out / "plots").glob("*.svg"))
     assert len(svgs) >= 5
+
+
+def test_run_ignores_foreign_plot_temp_dir(tmp_path):
+    # a crashed run's "plots/energy.svg.tmp" directory must not stop a run
+    cfg = SolverConfig(
+        nu=0.2,
+        cfl=0.5,
+        t_end=0.01,
+        grid=GridSpec(R=1.0, Lz=1.0, nr=16, nz=16),
+        scenario=Scenario(name="gaussian_ring", amplitude=1.0),
+        output_every=1,
+    )
+    out = tmp_path / "run"
+    (out / "plots" / "energy.svg.tmp").mkdir(parents=True)
+    run(cfg, out_dir=out)
+    names = sorted(p.name for p in (out / "plots").iterdir())
+    assert names == [
+        "criteria.svg",
+        "criteria_int.svg",
+        "dissipation.svg",
+        "energy.svg",
+        "energy.svg.tmp",
+        "swirl.svg",
+    ]
+    assert (out / "plots" / "energy.svg").read_text().startswith("<svg")
 
 
 def test_write_ignores_foreign_temp_file(grid16, tmp_path):

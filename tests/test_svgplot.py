@@ -64,39 +64,30 @@ def test_render_flat_zero_series():
     assert len(py) == 1
 
 
-def test_log_scale_annotation():
-    text = render_line_plot(
-        "log", "t", [("f", [0.0, 1.0], [1.0, 10.0])], log_y=True
-    )
-    assert "log scale" in text
-    # nonpositive data falls back to a linear axis
-    text = render_line_plot(
-        "log", "t", [("f", [0.0, 1.0], [0.0, 10.0])], log_y=True
-    )
-    assert "log scale" not in text
-    ET.fromstring(text)
-
-
-def test_emit_plots_layout(grid16, tmp_path):
+def test_emit_plots_layout(grid16):
     series = series_of(grid16, (0.0, 0.5, 1.0), zero_state)
-    files = emit_plots(series, tmp_path)
-    assert len(files) == 5
-    for f in files:
-        assert f.exists()
-        ET.fromstring(f.read_text())
+    plots = emit_plots(series)
+    assert sorted(plots) == [
+        "criteria.svg",
+        "criteria_int.svg",
+        "dissipation.svg",
+        "energy.svg",
+        "swirl.svg",
+    ]
+    for text in plots.values():
+        ET.fromstring(text)
 
 
-def test_emit_plots_zero_series_flat(grid16, tmp_path):
+def test_emit_plots_zero_series_flat(grid16):
     series = series_of(grid16, (0.0, 1.0), zero_state)
-    files = emit_plots(series, tmp_path)
-    energy = next(f for f in files if f.name == "energy.svg")
-    data_lines = [p for p in polyline_points(energy.read_text()) if len(p) == 2]
+    energy = emit_plots(series)["energy.svg"]
+    data_lines = [p for p in polyline_points(energy) if len(p) == 2]
     assert data_lines
     for line in data_lines:
         assert len({pt[1] for pt in line}) == 1
 
 
-def test_emit_plots_needs_two_rows(grid16, tmp_path):
+def test_emit_plots_needs_two_rows(grid16):
     series = series_of(grid16, (0.0,), zero_state)
     with pytest.raises(ValueError):
-        emit_plots(series, tmp_path)
+        emit_plots(series)
