@@ -16,9 +16,8 @@ from pathlib import Path
 
 from . import diagnostics
 from .config import ConfigError, parse_config
-from .diagnostics import CriteriaSeries, lpq_norm
+from .diagnostics import CriteriaSeries, lpq_norm, ualpha_norm
 from .dynamics import BlowUpError, run
-from .grid import EVEN, ScalarField
 from .storage import read_snapshot_dir, write_series
 from .studies import observed_order, self_convergence_study
 from .verify import SUITES, run_suites
@@ -63,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    final, series, _ = run(cfg, out_dir=args.out)
+    final, series = run(cfg, out_dir=args.out)
     print(f"integrated to t = {final.t:.6g}, {len(series.rows)} monitor rows")
     print(f"outputs under {args.out}")
     return 0
@@ -72,30 +71,24 @@ def _cmd_run(args) -> int:
 def _cmd_criteria(args) -> int:
     if args.s < 3:
         raise ConfigError(f"key s: must be at least 3, got {args.s}")
-    loaded = read_snapshot_dir(args.snapshots)
-    nu = loaded[0][1]
-    series = CriteriaSeries.bare(nu=nu, s=args.s)
-    for state, _ in loaded:
+    p = args.p if args.p is not None else float(args.s)
+    q = args.q if args.q is not None else float(args.s)
+    for name, value in (("p", p), ("q", q)):
+        if not value >= 1.0:
+            raise ConfigError(f"key {name}: must be at least 1, got {value}")
+    # one snapshot in memory at a time; nothing is written until all are read
+    series = None
+    norms = []
+    for state, nu in read_snapshot_dir(args.snapshots):
+        if series is None:
+            series = CriteriaSeries.bare(nu=nu, s=args.s)
         diagnostics.sample(state, series, nu)
+        norms.append((state.t, ualpha_norm(state, args.s, p)))
     write_series(series, args.out)
     print(f"wrote {len(series.rows)} rows to {args.out}")
 
-    p = args.p if args.p is not None else float(args.s)
-    q = args.q if args.q is not None else float(args.s)
-    alpha = 3.0 / args.s
-    samples = [
-        (
-            state.t,
-            ScalarField(
-                state.grid,
-                state.grid.r[:, None] ** (2.0 - alpha) * state.u1.values,
-                EVEN,
-            ),
-        )
-        for state, _ in loaded
-    ]
-    if len(samples) >= 2 or math.isinf(q):
-        value = lpq_norm(samples, p, q)
+    if len(norms) >= 2 or math.isinf(q):
+        value = lpq_norm(norms, q)
         print(f"lpq_norm of weighted swirl (p={p:g}, q={q:g}, s={args.s}): {value:.12g}")
     else:
         print("single snapshot: finite-q space-time norm undefined, skipped")

@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .grid import EVEN, ODD, Grid, ScalarField, d_dr, d_dz, integrate_volume
+from .grid import ODD, Grid, ScalarField, d_dr, d_dz
 from .kinematics import State, reconstruct_velocity
 
 
@@ -160,30 +160,40 @@ def quartic_check(state: State) -> tuple[float, float]:
     return _swirl_quartic(state.grid, state.u1.values)[1:]
 
 
-def lpq_norm(samples: Sequence[tuple[float, ScalarField]], p: float, q: float) -> float:
-    """Space-time norm (int_0^T (int |u|^p dx)^(q/p) dt)^(1/q).
+def _ualpha_integral(g: Grid, u: np.ndarray, s: int, p: float) -> float:
+    """int |u_alpha|^p dx with u_alpha = r^(2 - 3/s) u1, summed as
+    r^((2s - 3) p / s) |u1|^p; the exponent is exactly 2s - 3 when p = s."""
+    weight = g.r[:, None] ** ((2.0 * s - 3.0) * p / s)
+    return float(np.sum(weight * np.abs(u) ** p * g.quad_w[:, None]))
 
-    Either exponent may be math.inf, meaning the essential sup in that
-    variable.  The time integral is the trapezoid rule over the sample
-    times, which must be strictly increasing.
+
+def ualpha_norm(state: State, s: int, p: float) -> float:
+    """||u_alpha||_{L_p} of the weighted swirl u_alpha = r^(2 - 3/s) u1;
+    p = math.inf gives max |u_alpha|."""
+    if not p >= 1.0:
+        raise ValueError(f"ualpha_norm: exponent p must be >= 1, got {p}")
+    g, u = state.grid, state.u1.values
+    if math.isinf(p):
+        return float(np.max(np.abs(g.r[:, None] ** (2.0 - 3.0 / s) * u)))
+    return _ualpha_integral(g, u, s, p) ** (1.0 / p)
+
+
+def lpq_norm(samples: Sequence[tuple[float, float]], q: float) -> float:
+    """(int_0^T ||u(t)||_{L_p}^q dt)^(1/q) from (t, ||u(t)||_{L_p}) pairs,
+    such as ualpha_norm values: the trapezoid rule over strictly increasing
+    times, at least 2 of them, or the max over the samples for q = math.inf.
     """
     if len(samples) == 0:
         raise ValueError("lpq_norm: empty sample series")
-    if not (p >= 1.0 and q >= 1.0):
-        raise ValueError(f"lpq_norm: exponents must be >= 1, got p={p}, q={q}")
-    times = np.array([t for t, _ in samples], dtype=np.float64)
+    if not q >= 1.0:
+        raise ValueError(f"lpq_norm: exponent q must be >= 1, got {q}")
+    times, space = np.array(samples, dtype=np.float64).T
     if np.any(np.diff(times) <= 0):
         raise ValueError("lpq_norm: sample times must be strictly increasing")
+    if not np.all(np.isfinite(space)):
+        raise ValueError("lpq_norm: non-finite spatial norms")
     if not math.isinf(q) and len(samples) < 2:
         raise ValueError("lpq_norm: need at least 2 time samples for finite q")
-    space = np.empty(len(samples))
-    for n, (_, f) in enumerate(samples):
-        if math.isinf(p):
-            space[n] = np.max(np.abs(f.values))
-        else:
-            space[n] = integrate_volume(
-                ScalarField(f.grid, np.abs(f.values) ** p, EVEN)
-            ) ** (1.0 / p)
     if math.isinf(q):
         return float(np.max(space))
     vals = space**q
@@ -250,8 +260,7 @@ def instantaneous(state: State, s: int = 4) -> dict:
         "phi_l2": float(np.sqrt(np.sum(du_z * du_z * w))),
         "om1_l2": float(np.sqrt(np.sum(om * om * w))),
         "om1_grad": float(np.sum((om_dr * om_dr + om_dz * om_dz) * w)),
-        # u_alpha = r^(2 - 3/s) u1, so |u_alpha|^s = r^(2s - 3) |u1|^s
-        "ualpha_s": float(np.sum(r ** (2.0 * s - 3.0) * np.abs(u) ** s * w)),
+        "ualpha_s": _ualpha_integral(g, u, s, s),
         "quartic_lhs": q_lhs,
         "quartic_rhs": q_rhs,
     }

@@ -150,9 +150,11 @@ def run(cfg: SolverConfig, out_dir: str | None = None):
     Samples the monitor series every output_every steps and at the final
     time.  When out_dir is given, each sampled state is also written as a
     snapshot and the series as series.csv; on blow-up the partial outputs
-    are flushed before the error propagates.
+    are flushed before the error propagates.  Only the current state is
+    held, so memory does not grow with the number of samples; read the
+    sampled states back from the snapshots.
 
-    Returns (final_state, series, sampled_states).
+    Returns (final_state, series).
     """
     cfg.validate()
     grid = make_grid(cfg.grid)
@@ -161,7 +163,6 @@ def run(cfg: SolverConfig, out_dir: str | None = None):
         forcing = manufactured_solution(cfg.grid, cfg.nu, cfg.scenario)
     state = init_scenario(cfg.scenario, grid)
     series = diagnostics.CriteriaSeries.for_run(cfg)
-    snapshots: list[State] = []
 
     out = None
     if out_dir is not None:
@@ -169,7 +170,6 @@ def run(cfg: SolverConfig, out_dir: str | None = None):
 
     def emit(st: State) -> None:
         diagnostics.sample(st, series, cfg.nu)
-        snapshots.append(st)
         if out is not None:
             out.snapshot(st)
 
@@ -186,4 +186,4 @@ def run(cfg: SolverConfig, out_dir: str | None = None):
     finally:
         if out is not None:
             out.series(series)
-    return state, series, snapshots
+    return state, series

@@ -87,19 +87,3 @@ def divergence_residual(vel: VelocityFields) -> float:
     )
     return norm_l2(ScalarField(g, res, EVEN))
 
-
-def curl_consistency_residual(state: State) -> float:
-    """L2 volume norm of r om1 - (d_dz(v_r) - d_dr(v_z)), wall ring excluded.
-
-    v_z has a nonzero trace at r = R (the wall is stress free, not no slip),
-    so the mirrored wall ghost of d_dr does not apply to it; keeping the
-    outermost ring would bury the O(h^2) interior residual under an O(1/h)
-    ring artifact.
-    """
-    g = state.grid
-    vel = reconstruct_velocity(state)
-    res = g.r[:, None] * state.omega1.values - (
-        d_dz(vel.v_r).values - d_dr(vel.v_z).values
-    )
-    res[-1, :] = 0.0
-    return norm_l2(ScalarField(g, res, ODD))

@@ -22,7 +22,8 @@ exactly.
 All writes, plots included, land in a uniquely named temporary file next
 to the target and are renamed into place, so a crash never leaves a
 partial file under the final name and two writers to one path never share
-a temporary file.  Snapshot headers with a non-finite t or nu are refused.
+a temporary file.  Snapshots with a non-finite t, nu or field value are
+refused with an error that names the file.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -93,40 +95,37 @@ def read_snapshot(path) -> tuple[State, float]:
             f"snapshot {path} has {len(buf)} bytes, header implies {expect}"
         )
     grid = make_grid(GridSpec(R=R, Lz=Lz, nr=nr, nz=nz))
-    n = nr * nz
-
-    def unpack(k: int) -> np.ndarray:
-        start = _HEADER.size + k * n * 8
-        flat = np.frombuffer(buf, dtype="<f8", count=n, offset=start)
-        return flat.reshape((nr, nz), order="F").copy()
-
-    state = State(
-        u1=ScalarField(grid, unpack(0), EVEN),
-        omega1=ScalarField(grid, unpack(1), EVEN),
-        psi1=ScalarField(grid, unpack(2), EVEN),
-        t=t,
-    )
+    # u1, om1, psi1 in turn, each with the radial index varying fastest
+    arrays = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).reshape(3, nz, nr)
+    try:
+        state = State(*(ScalarField(grid, a.T.copy(), EVEN) for a in arrays), t=t)
+    except ValueError as err:
+        raise ValueError(f"snapshot {path}: {err}") from None
     return state, nu
 
 
-def read_snapshot_dir(dirpath) -> list[tuple[State, float]]:
-    """Read every *.axns file under dirpath, sorted by name, and check
-    that the sample times increase and the grid and nu are uniform."""
+def read_snapshot_dir(dirpath) -> Iterator[tuple[State, float]]:
+    """Yield (state, nu) for every *.axns file under dirpath, sorted by
+    name, reading one file at a time.  Each file is checked as it is read:
+    the sample times must increase and the grid and nu must be uniform."""
     paths = sorted(Path(dirpath).glob("*.axns"))
     if not paths:
         raise ValueError(f"no snapshot files in {dirpath}")
-    loaded = [read_snapshot(p) for p in paths]
-    spec0, nu0 = loaded[0][0].grid.spec, loaded[0][1]
-    for (a, _), (b, nu) in zip(loaded, loaded[1:]):
-        if not b.t > a.t:
+    state, nu0 = read_snapshot(paths[0])
+    spec0 = state.grid.spec
+    yield state, nu0
+    for path in paths[1:]:
+        t_prev = state.t
+        state, nu = read_snapshot(path)
+        if not state.t > t_prev:
             raise ValueError(
-                f"snapshot times not increasing in {dirpath}: {a.t} then {b.t}"
+                f"snapshot times not increasing in {dirpath}: {t_prev} then {state.t}"
             )
-        if b.grid.spec != spec0:
-            raise ValueError(f"mixed grids in {dirpath}: {spec0} and {b.grid.spec}")
+        if state.grid.spec != spec0:
+            raise ValueError(f"mixed grids in {dirpath}: {spec0} and {state.grid.spec}")
         if nu != nu0:
             raise ValueError(f"mixed nu values in {dirpath}: {nu0} and {nu}")
-    return loaded
+        yield state, nu
 
 
 def write_series(series: CriteriaSeries, path) -> None:

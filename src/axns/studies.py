@@ -171,7 +171,7 @@ def dynamics_spatial_study(
     errors = []
     for n in levels:
         cfg = _mms_config(n, nu, t_end, cfl)
-        final, _, _ = run(cfg)
+        final, _ = run(cfg)
         grid = final.grid
         man = manufactured_solution(cfg.grid, nu, cfg.scenario)
         du = ScalarField(grid, final.u1.values - man.u1(grid, final.t), EVEN)
@@ -227,7 +227,7 @@ def self_convergence_study(cfg: SolverConfig, n_levels: int = 3) -> list[float]:
     finals = []
     for lev in range(n_levels):
         spec = replace(cfg.grid, nr=cfg.grid.nr * 2**lev, nz=cfg.grid.nz * 2**lev)
-        final, _, _ = run(replace(cfg, grid=spec, output_every=10_000_000))
+        final, _ = run(replace(cfg, grid=spec, output_every=10_000_000))
         finals.append(final)
     errors = []
     for coarse, fine in zip(finals, finals[1:]):

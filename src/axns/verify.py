@@ -82,7 +82,7 @@ def acceptance_run(name: str, nu: float, n: int = 64):
         scenario=acceptance_scenario(name),
         output_every=5,
     )
-    final, series, _ = run(cfg)
+    final, series = run(cfg)
     return cfg, final, series
 
 
@@ -173,6 +173,13 @@ def _quartic():
     return bad == 0, f"{bad} violations in 1000 bump and 1000 noise states"
 
 
+def _space_norm(f: ScalarField, p: float) -> float:
+    """||f||_{L_p} by the volume quadrature; max |f| for p = inf."""
+    if math.isinf(p):
+        return float(np.max(np.abs(f.values)))
+    return integrate_volume(ScalarField(f.grid, np.abs(f.values) ** p, EVEN)) ** (1.0 / p)
+
+
 def _lpq_constant():
     """Every (p, q) pair on two constant series: on a 48x32 grid and on a
     32x32 grid, each with its own value, sample times and horizon T."""
@@ -182,6 +189,7 @@ def _lpq_constant():
         (4.0, 3.0),
         (4.0, 2.0),
         (3.0, 7.0),
+        (3.0, 5.0),
         (inf, 2.0),
         (2.0, inf),
         (inf, 3.0),
@@ -190,12 +198,13 @@ def _lpq_constant():
     errs = []
     for nr, nz, c, times in ((48, 32, 1.375, (0.0, 0.44, 1.1)), (32, 32, 0.75, (0.0, 0.8, 2.0))):
         g = _grid(nr, nz)
-        samples = [(t, ScalarField(g, np.full((nr, nz), c), EVEN)) for t in times]
+        f = ScalarField(g, np.full((nr, nz), c), EVEN)
         vol = np.pi * g.spec.R**2 * g.spec.Lz
         for p, q in pairs:
             vp = 1.0 if math.isinf(p) else vol ** (1.0 / p)
             tq = 1.0 if math.isinf(q) else times[-1] ** (1.0 / q)
-            errs.append(abs(lpq_norm(samples, p, q) - c * vp * tq) / (c * vp * tq))
+            got = lpq_norm([(t, _space_norm(f, p)) for t in times], q)
+            errs.append(abs(got - c * vp * tq) / (c * vp * tq))
     return all(e <= 1e-12 for e in errs), f"worst rel err {max(errs):.2e}"
 
 
@@ -206,8 +215,10 @@ def _lpq_step():
     p, q = 2.0, 3.0
     vol = float(np.sum(g.quad_w)) * g.nz
     times = ((0.0, c1), (T / 2 - delta, c1), (T / 2 + delta, c2), (T, c2))
-    samples = [(t, ScalarField(g, np.full((g.nr, g.nz), c), EVEN)) for t, c in times]
-    got = lpq_norm(samples, p, q)
+    samples = [
+        (t, _space_norm(ScalarField(g, np.full((g.nr, g.nz), c), EVEN), p)) for t, c in times
+    ]
+    got = lpq_norm(samples, q)
     expect = ((c1**q + c2**q) * vol ** (q / p) * T / 2.0) ** (1.0 / q)
     return abs(got - expect) <= 1e-12 * expect, f"rel err {abs(got - expect) / expect:.2e}"
 
@@ -225,7 +236,7 @@ def _offline_run():
         output_every=3,
     )
     with tempfile.TemporaryDirectory() as tmp:
-        _, live, _ = run(cfg, out_dir=tmp)
+        _, live = run(cfg, out_dir=tmp)
         offline = CriteriaSeries.bare(nu=cfg.nu, s=cfg.s)
         for st, nu in read_snapshot_dir(Path(tmp) / "snapshots"):
             diagnostics.sample(st, offline, nu)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis
 import numpy as np
 import pytest
@@ -28,3 +30,18 @@ def grid64():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from axns import storage, verify
 from axns.cli import main
+from axns.grid import EVEN, GridSpec, ScalarField, make_grid
+from axns.kinematics import State
 from axns.verify import CHECKS, SUITES
 
 CONFIG = """
@@ -89,14 +92,57 @@ def test_criteria_recomputation_matches_run(run_dir, tmp_path):
         ["criteria", "--snapshots", str(run_dir / "snapshots"), "--out", str(out_csv)]
     )
     assert code == 0
-    live = storage.read_series(run_dir / "series.csv")
-    offline = storage.read_series(out_csv)
-    assert len(live) == len(offline)
-    for a, b in zip(live, offline):
-        assert a.t == b.t
-        for name in ("critA", "critB", "critA_int", "E", "D", "swirl_sup"):
-            va, vb = getattr(a, name), getattr(b, name)
-            assert math.isclose(va, vb, rel_tol=1e-6, abs_tol=1e-300)
+    assert out_csv.read_bytes() == (run_dir / "series.csv").read_bytes()
+
+
+def test_criteria_lpq_matches_trapezoid_of_series(run_dir, tmp_path, capsys):
+    # p = q = s: the space-time norm is (int ualpha_s dt)^(1/s)
+    out_csv = tmp_path / "offline.csv"
+    argv = ["criteria", "--snapshots", str(run_dir / "snapshots"), "--out", str(out_csv)]
+    assert main(argv + ["--s", "5"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("lpq_norm of weighted swirl (p=5, q=5, s=5): ")
+    table = np.genfromtxt(out_csv, delimiter=",", names=True)
+    want = np.trapezoid(table["ualpha_s"], table["t"]) ** (1.0 / 5.0)
+    assert math.isclose(float(line.rsplit(" ", 1)[1]), want, rel_tol=1e-11)
+
+    one = tmp_path / "one"
+    one.mkdir()
+    first = sorted((run_dir / "snapshots").glob("*.axns"))[0]
+    (one / first.name).write_bytes(first.read_bytes())
+    assert main(["criteria", "--snapshots", str(one), "--out", str(out_csv)]) == 0
+    out = capsys.readouterr().out
+    assert "single snapshot: finite-q space-time norm undefined, skipped" in out
+    assert len(storage.read_series(out_csv)) == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--p", "0.5"), ("--q", "nan"), ("--p", "-inf")])
+def test_criteria_rejects_bad_exponent(run_dir, tmp_path, capsys, flag, value):
+    out_csv = tmp_path / "x.csv"
+    argv = ["criteria", "--snapshots", str(run_dir / "snapshots"), "--out", str(out_csv)]
+    assert main(argv + [f"{flag}={value}"]) == 2
+    assert f"key {flag[2:]}: must be at least 1" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_criteria_memory_does_not_grow_with_snapshots(tmp_path, traced_peak):
+    g = make_grid(GridSpec(R=1.0, Lz=1.0, nr=64, nz=64))
+    rng = np.random.default_rng(5)
+    fields = [ScalarField(g, rng.standard_normal((g.nr, g.nz)), EVEN) for _ in range(3)]
+
+    def criteria_over(n):
+        d = tmp_path / f"snaps{n}"
+        d.mkdir()
+        for k in range(n):
+            state = State(u1=fields[0], omega1=fields[1], psi1=fields[2], t=0.01 * k)
+            storage.write_snapshot(state, d / f"snap_{k:06d}.axns", nu=0.1)
+        argv = ["criteria", "--snapshots", str(d), "--out", str(tmp_path / f"{n}.csv")]
+        return lambda: main(argv)
+
+    few, many = criteria_over(4), criteria_over(40)
+    few()  # warm-up
+    short, long = traced_peak(few), traced_peak(many)
+    assert long <= 1.5 * short, (short, long)
 
 
 def test_criteria_rejects_small_s(run_dir, tmp_path, capsys):

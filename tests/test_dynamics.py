@@ -20,6 +20,7 @@ from axns.grid import (
 )
 from axns.kinematics import State, reconstruct_velocity
 from axns.scenarios import Scenario, manufactured_solution
+from axns.storage import read_snapshot
 
 
 def swirl_cfg(grid_spec, nu=1.0, cfl=0.5, t_end=1.0):
@@ -273,17 +274,21 @@ def test_step_blowup_detection(grid16):
         step(make_state(grid16, u1=huge, om1=huge), 1.0, cfg)
 
 
-def test_run_zero_scenario_stays_zero():
+def test_run_zero_scenario_stays_zero(tmp_path):
     spec = GridSpec(R=1.0, Lz=1.0, nr=16, nz=16)
     cfg = SolverConfig(nu=0.5, cfl=0.5, t_end=0.05, grid=spec)
-    final, series, snaps = run(cfg)
+    final, series = run(cfg, out_dir=tmp_path)
     assert math.isclose(final.t, 0.05, rel_tol=1e-12)
     assert np.max(np.abs(final.u1.values)) == 0.0
     assert series.rows[-1].E == 0.0
+    snaps = sorted((tmp_path / "snapshots").glob("*.axns"))
     assert len(snaps) == len(series.rows)
+    last, _ = read_snapshot(snaps[-1])
+    assert last.t == final.t
+    assert np.array_equal(last.u1.values, final.u1.values)
 
 
-def test_run_zero_t_end_single_row():
+def test_run_zero_t_end_single_row(tmp_path):
     spec = GridSpec(R=1.0, Lz=1.0, nr=16, nz=16)
     cfg = SolverConfig(
         nu=0.1,
@@ -292,9 +297,10 @@ def test_run_zero_t_end_single_row():
         grid=spec,
         scenario=Scenario(name="gaussian_ring", amplitude=1.0),
     )
-    final, series, snaps = run(cfg)
+    final, series = run(cfg, out_dir=tmp_path)
     assert final.t == 0.0
     assert len(series.rows) == 1
+    assert len(list((tmp_path / "snapshots").glob("*.axns"))) == 1
     assert series.rows[0].E > 0.0
 
 
@@ -308,7 +314,7 @@ def test_run_decays_gaussian_ring():
         scenario=Scenario(name="gaussian_ring", amplitude=1.0),
         output_every=5,
     )
-    final, series, _ = run(cfg)
+    final, series = run(cfg)
     E = [row.E for row in series.rows]
     assert len(E) >= 3
     assert E[-1] < E[0]
@@ -316,3 +322,22 @@ def test_run_decays_gaussian_ring():
     t = [row.t for row in series.rows]
     assert all(b > a for a, b in zip(t, t[1:]))
     assert math.isclose(t[-1], 0.1, rel_tol=1e-9)
+
+
+def test_run_memory_does_not_grow_with_rows(traced_peak):
+    # every step sampled (dt = 6.1e-4): about 5 rows against about 41
+    def run_to(t_end):
+        cfg = SolverConfig(
+            nu=0.2,
+            cfl=0.5,
+            t_end=t_end,
+            grid=GridSpec(R=1.0, Lz=1.0, nr=32, nz=32),
+            scenario=Scenario(name="gaussian_ring", amplitude=1.0),
+            output_every=1,
+        )
+        return lambda: run(cfg)
+
+    run_to(0.0025)()  # warm-up
+    short = traced_peak(run_to(0.0025))
+    long = traced_peak(run_to(0.025))
+    assert long <= 1.5 * short, (short, long)

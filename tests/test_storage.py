@@ -89,7 +89,7 @@ def test_snapshot_dir_ordering_and_checks(grid16, tmp_path, rng):
         storage.write_snapshot(
             make_state(grid16, rng, t=t), tmp_path / f"snap_{n:06d}.axns", nu=0.1
         )
-    out = storage.read_snapshot_dir(tmp_path)
+    out = list(storage.read_snapshot_dir(tmp_path))
     assert [s.t for s, _ in out] == [0.0, 0.1, 0.2]
     assert all(nu == 0.1 for _, nu in out)
     # a stray later file with earlier time breaks monotonicity
@@ -97,7 +97,7 @@ def test_snapshot_dir_ordering_and_checks(grid16, tmp_path, rng):
         make_state(grid16, rng, t=0.05), tmp_path / "snap_000009.axns", nu=0.1
     )
     with pytest.raises(ValueError):
-        storage.read_snapshot_dir(tmp_path)
+        list(storage.read_snapshot_dir(tmp_path))
 
 
 def test_snapshot_dir_mixed_nu(grid16, grid32, tmp_path):
@@ -109,7 +109,7 @@ def test_snapshot_dir_mixed_nu(grid16, grid32, tmp_path):
         storage.write_snapshot(make_state(grid16, t=0.0), d / "a.axns", nu=0.1)
         storage.write_snapshot(make_state(grid, t=0.1), d / "b.axns", nu=nu)
         with pytest.raises(ValueError, match=re.escape(names_both)):
-            storage.read_snapshot_dir(d)
+            list(storage.read_snapshot_dir(d))
         assert main(["criteria", "--snapshots", str(d), "--out", str(d / "x.csv")]) == 2
 
 
@@ -131,9 +131,28 @@ def test_snapshot_rejects_non_finite_header(grid16, tmp_path, field, offset, bad
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("k,name", [(0, "u1"), (1, "omega1"), (2, "psi1")])
+def test_snapshot_rejects_non_finite_field(grid16, tmp_path, capsys, k, name):
+    for n in range(3):
+        storage.write_snapshot(
+            make_state(grid16, t=0.1 * n), tmp_path / f"snap_{n:06d}.axns", nu=0.1
+        )
+    path = tmp_path / "snap_000002.axns"
+    raw = bytearray(path.read_bytes())
+    offset = 45 + 8 * (k * grid16.nr * grid16.nz + 5)
+    raw[offset : offset + 8] = struct.pack("<d", math.nan)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*{name} contains non-finite"):
+        storage.read_snapshot(path)
+    code = main(["criteria", "--snapshots", str(tmp_path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_snapshot_dir_empty(tmp_path):
     with pytest.raises(ValueError):
-        storage.read_snapshot_dir(tmp_path)
+        list(storage.read_snapshot_dir(tmp_path))
 
 
 def test_series_round_trip_value_exact(grid32, tmp_path, rng):
@@ -180,13 +199,13 @@ def test_run_writer_layout(tmp_path):
         output_every=2,
     )
     out = tmp_path / "run"
-    final, series, snaps = run(cfg, out_dir=out)
+    final, series = run(cfg, out_dir=out)
     snap_files = sorted((out / "snapshots").glob("*.axns"))
-    assert len(snap_files) == len(snaps)
+    assert len(snap_files) == len(series.rows)
     assert (out / "series.csv").exists()
     back = storage.read_series(out / "series.csv")
     assert [r.t for r in back] == [r.t for r in series.rows]
-    disk = storage.read_snapshot_dir(out / "snapshots")
+    disk = list(storage.read_snapshot_dir(out / "snapshots"))
     assert math.isclose(disk[-1][0].t, final.t, rel_tol=1e-12)
     assert np.array_equal(disk[-1][0].u1.values, final.u1.values)
     svgs = sorted((out / "plots").glob("*.svg"))
