@@ -138,7 +138,7 @@ def test_factor_cache_reused(grid32):
 def column_thomas_solve(grid, rhs_values):
     """Thomas factorization and sweep over all modes at once, in the
     transposed (modes, nr) complex layout with complex division by the
-    pivots: the reference the contiguous-row sweep must reproduce."""
+    pivots: the reference the cyclic reduction must reproduce to roundoff."""
     nr, nz = grid.nr, grid.nz
     sub, diag, sup = grid.radial_bands
     k = np.arange(nz // 2 + 1)
@@ -160,12 +160,41 @@ def column_thomas_solve(grid, rhs_values):
     return np.fft.irfft(g.T, n=nz, axis=1)
 
 
-@pytest.mark.parametrize("nr, nz", [(16, 8), (17, 12), (64, 64)])
-def test_row_sweep_matches_column_sweep_bitwise(nr, nz):
+@pytest.mark.parametrize(
+    "nr, nz",
+    [(16, 8), (17, 12), (64, 64), (4, 4), (5, 8), (7, 12), (33, 64), (100, 12)],
+)
+def test_cyclic_reduction_matches_thomas_reference(nr, nz):
     g = make_grid(GridSpec(R=1.0, Lz=1.3, nr=nr, nz=nz))
-    rng = np.random.default_rng(nr * 1000 + nz)
-    for source in (rng.standard_normal((nr, nz)), np.zeros((nr, nz))):
-        want = column_thomas_solve(g, source)
-        # bytes, so that signed zeros must agree too
-        assert _factor_for(g).solve(source).tobytes() == want.tobytes()
-        assert np.array_equal(solve_stream(ScalarField(g, source, EVEN)).values, want)
+    source = np.random.default_rng(nr * 1000 + nz).standard_normal((nr, nz))
+    want = column_thomas_solve(g, source)
+    got = _factor_for(g).solve(source)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    om = ScalarField(g, source, EVEN)
+    psi = solve_stream(om)
+    assert np.array_equal(psi.values, got)
+    assert stream_residual(psi, om) <= 1e-12 * norm_l2(om)
+    # bytes, so that a signed zero would show
+    zero = np.zeros((nr, nz))
+    assert _factor_for(g).solve(zero).tobytes() == zero.tobytes()
+
+
+def test_solve_result_does_not_alias_the_grid_buffer(grid16, grid32, rng):
+    # all solves on one grid share that grid's rfft buffer; what a solve
+    # returns must be the caller's own array
+    sources = {
+        g: [ScalarField(g, rng.standard_normal((g.nr, g.nz)), EVEN) for _ in range(2)]
+        for g in (grid16, grid32)
+    }
+    alone = {g: [solve_stream(om).values.copy() for om in oms] for g, oms in sources.items()}
+    first = solve_stream(sources[grid32][0]).values
+    kept = first.tobytes()
+    solve_stream(sources[grid32][1])
+    assert first.tobytes() == kept
+    interleaved = {grid16: [], grid32: []}
+    for i in range(2):
+        for g in (grid16, grid32):
+            interleaved[g].append(solve_stream(sources[g][i]).values)
+    for g in (grid16, grid32):
+        for got, want in zip(interleaved[g], alone[g]):
+            assert got.tobytes() == want.tobytes()
