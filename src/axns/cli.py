@@ -81,7 +81,7 @@ def _cmd_criteria(args) -> int:
     norms = []
     for state, nu in read_snapshot_dir(args.snapshots):
         if series is None:
-            series = CriteriaSeries.bare(nu=nu, s=args.s)
+            series = CriteriaSeries(nu=nu, s=args.s)
         diagnostics.sample(state, series, nu)
         norms.append((state.t, ualpha_norm(state, args.s, p)))
     write_series(series, args.out)

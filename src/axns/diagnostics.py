@@ -82,29 +82,12 @@ COLUMNS = tuple(f.name for f in dc_fields(MonitorRow))
 
 @dataclass
 class CriteriaSeries:
-    """Monitor rows of one run plus the metadata needed to recompute them."""
+    """Monitor rows of one run, sampled at viscosity nu with swirl exponent s."""
 
-    meta: dict
+    nu: float
+    s: int
     rows: list[MonitorRow] = field(default_factory=list)
     _prev: dict | None = field(default=None, repr=False)
-
-    @classmethod
-    def for_run(cls, cfg) -> "CriteriaSeries":
-        return cls(
-            meta={
-                "R": cfg.grid.R,
-                "Lz": cfg.grid.Lz,
-                "nr": cfg.grid.nr,
-                "nz": cfg.grid.nz,
-                "nu": cfg.nu,
-                "scenario": cfg.scenario.name,
-                "s": cfg.s,
-            }
-        )
-
-    @classmethod
-    def bare(cls, nu: float, s: int = 4) -> "CriteriaSeries":
-        return cls(meta={"nu": nu, "s": s})
 
 
 def _face_grad_sq(vals: np.ndarray, grid: Grid, wall_zero: bool) -> float:
@@ -273,11 +256,9 @@ def instantaneous(state: State, s: int = 4) -> dict:
 def sample(state: State, series: CriteriaSeries, nu: float) -> MonitorRow:
     """Append one monitor row; running integrals advance by the trapezoid
     rule against the previous row's instantaneous values."""
-    meta_nu = series.meta.get("nu")
-    if meta_nu is not None and not math.isclose(meta_nu, nu, rel_tol=1e-12):
-        raise ValueError(f"sample: nu {nu} does not match series metadata {meta_nu}")
-    s = int(series.meta.get("s", 4))
-    inst = instantaneous(state, s)
+    if not math.isclose(series.nu, nu, rel_tol=1e-12):
+        raise ValueError(f"sample: nu {nu} does not match the series nu {series.nu}")
+    inst = instantaneous(state, series.s)
     t = state.t
     last = series.rows[-1] if series.rows else None
     if last is not None and not t > last.t:

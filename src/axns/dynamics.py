@@ -54,6 +54,8 @@ class SolverConfig:
             raise ValueError(f"s must be an integer >= 3, got {self.s}")
         make_grid(self.grid)  # reuse grid validation
         self.scenario.validate(self.grid)
+        if self.forcing_enabled and self.scenario.name != "manufactured":
+            raise ValueError(f"forcing = on needs scenario manufactured, not {self.scenario.name}")
 
 
 def _transport(grid: Grid, f, df_dz, vr, vz, nu: float):
@@ -162,7 +164,7 @@ def run(cfg: SolverConfig, out_dir: str | None = None):
     if cfg.forcing_enabled:
         forcing = manufactured_solution(cfg.grid, cfg.nu, cfg.scenario)
     state = init_scenario(cfg.scenario, grid)
-    series = diagnostics.CriteriaSeries.for_run(cfg)
+    series = diagnostics.CriteriaSeries(nu=cfg.nu, s=cfg.s)
 
     out = None
     if out_dir is not None:

@@ -39,23 +39,27 @@ from .grid import (
 )
 
 
+def mode_rows(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] of M_k = -(L_r) + mu_k I:
+    fresh (nr, nz // 2 + 1) arrays, one column per rfft mode k."""
+    sub, diag, sup = grid.radial_bands
+    k = np.arange(grid.nz // 2 + 1)
+    mu = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / grid.nz)) / (grid.dz * grid.dz)
+    b = -diag[:, None] + mu[None, :]
+    a = np.broadcast_to(-sub[:, None], b.shape).copy()
+    c = np.broadcast_to(-sup[:, None], b.shape).copy()
+    return a, b, c
+
+
 class _StreamFactor:
     """Per-grid cyclic-reduction coefficients, row views and rfft buffer."""
 
     def __init__(self, grid: Grid):
-        nr, nz = grid.nr, grid.nz
-        sub, diag, sup = grid.radial_bands
-        k = np.arange(nz // 2 + 1)
-        mu = (2.0 - 2.0 * np.cos(2.0 * np.pi * k / nz)) / (grid.dz * grid.dz)
-        # rows of M_k = -(L_r) + mu_k I, one column per mode:
-        # a[i] x[i-1] + b[i] x[i] + c[i] x[i+1]
-        b = -diag[:, None] + mu[None, :]
-        a = np.broadcast_to(-sub[:, None], b.shape).copy()
-        c = np.broadcast_to(-sup[:, None], b.shape).copy()
-        self.nz = nz
-        self.buffer = np.empty((nr, mu.size), dtype=np.complex128)
+        a, b, c = mode_rows(grid)
+        self.nz = grid.nz
+        self.buffer = np.empty(b.shape, dtype=np.complex128)
         x = self.buffer.view(np.float64)  # (nr, 2 modes): Re and Im of each
-        tmp = np.empty(((nr + 1) // 2, x.shape[1]))
+        tmp = np.empty(((grid.nr + 1) // 2, x.shape[1]))
 
         def twice(v: np.ndarray) -> np.ndarray:
             return np.repeat(v, 2, axis=1)  # one value per real column
@@ -66,7 +70,7 @@ class _StreamFactor:
         # coefficients are never touched again, so b ends up holding every
         # reduced pivot and the back pass reads each row at its own level.
         self.forward, self.back = [], []
-        s, m = 1, nr
+        s, m = 1, grid.nr
         while m > 1:
             ne, nk = m // 2, (m + 1) // 2
             e, kept = slice(s, None, 2 * s), slice(0, None, 2 * s)

@@ -138,10 +138,8 @@ def zeros_field(grid: Grid, parity: str = EVEN) -> ScalarField:
 
 def field_from_function(grid: Grid, fn, parity: str) -> ScalarField:
     """Sample fn(r, z) on the mesh; fn must broadcast over (nr, 1) x (1, nz)."""
-    vals = np.broadcast_to(
-        fn(grid.r[:, None], grid.z[None, :]), (grid.nr, grid.nz)
-    ).astype(np.float64)
-    return ScalarField(grid, vals.copy(), parity)
+    vals = np.broadcast_to(fn(grid.r[:, None], grid.z[None, :]), (grid.nr, grid.nz))
+    return ScalarField(grid, vals.astype(np.float64), parity)
 
 
 def integrate_volume(f: ScalarField) -> float:

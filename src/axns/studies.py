@@ -1,4 +1,4 @@
-"""Refinement studies and random-field ensembles.
+"""Refinement studies and the sharp constant of the criteria inequality.
 
 The refinement probes are continuum fields sampled per grid, so every
 level discretizes the same problem.  Radial profiles are symmetrized
@@ -15,9 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .diagnostics import criterion_A, criterion_B
 from .dynamics import SolverConfig, run, stable_dt, step
-from .elliptic import solve_stream, stream_residual
+from .elliptic import mode_rows, solve_stream, stream_residual
 from .grid import (
     EVEN,
     Grid,
@@ -137,17 +136,29 @@ def divergence_study(levels=(64, 128, 256), seed: int = 7, n_fields: int = 4):
     return out
 
 
-def ratio_ensemble(n_fields: int, grid: Grid, seed: int = 11) -> list[float]:
-    """criterion A / criterion B ratios for random vorticity fields."""
-    rng = np.random.default_rng(seed)
-    zero = zeros_field(grid)
-    ratios = []
-    for _ in range(n_fields):
-        terms = random_bump_terms(rng, grid.spec.R, n_terms=2)
-        om1 = bump_field(terms, grid)
-        state = State(u1=zero, omega1=om1, psi1=solve_stream(om1), t=0.0)
-        ratios.append(criterion_A(state) / criterion_B(state))
-    return ratios
+def criteria_constant(grid: Grid) -> tuple[float, int, np.ndarray]:
+    """Sharp constant C = sup critA / critB over all om1 on the grid, with the
+    maximizing axial mode k and radial profile f: f(r) cos(2 pi k z / Lz)
+    attains C.  Solve and d_dz (symbol i s_k, s_k = sin(2 pi k / nz) / dz)
+    act per mode, and on mode k the sup of s_k^2 |M_k^-1 f|^2 / |r f|^2 is
+    s_k^2 / sigma_min(diag(r) M_k)^2, attained where r f is the left
+    singular vector of sigma_min."""
+    a, b, c = mode_rows(grid)
+    rm = np.array([  # diag(r) M_k, one dense matrix per mode
+        grid.r[:, None] * (np.diag(b[:, k]) + np.diag(a[1:, k], -1) + np.diag(c[:-1, k], 1))
+        for k in range(b.shape[1])
+    ])
+    s = np.sin(2.0 * np.pi * np.arange(b.shape[1]) / grid.nz) / grid.dz
+    ratios = s**2 / np.linalg.svd(rm, compute_uv=False)[:, -1] ** 2
+    k = int(np.argmax(ratios))
+    return float(ratios[k]), k, np.linalg.svd(rm[k])[0][:, -1] / grid.r
+
+
+def _field_error(state: State, u1: np.ndarray, om1: np.ndarray) -> float:
+    """sqrt(||state.u1 - u1||^2 + ||state.omega1 - om1||^2), L2 volume norms."""
+    du = ScalarField(state.grid, state.u1.values - u1, EVEN)
+    dom = ScalarField(state.grid, state.omega1.values - om1, EVEN)
+    return math.sqrt(norm_l2(du) ** 2 + norm_l2(dom) ** 2)
 
 
 def _mms_config(n: int, nu: float, t_end: float, cfl: float) -> SolverConfig:
@@ -174,9 +185,7 @@ def dynamics_spatial_study(
         final, _ = run(cfg)
         grid = final.grid
         man = manufactured_solution(cfg.grid, nu, cfg.scenario)
-        du = ScalarField(grid, final.u1.values - man.u1(grid, final.t), EVEN)
-        dom = ScalarField(grid, final.omega1.values - man.om1(grid, final.t), EVEN)
-        errors.append(math.sqrt(norm_l2(du) ** 2 + norm_l2(dom) ** 2))
+        errors.append(_field_error(final, man.u1(grid, final.t), man.om1(grid, final.t)))
     return errors
 
 
@@ -206,9 +215,7 @@ def dynamics_temporal_study(
     errors = []
     for j in range(n_refine):
         final = integrate(n0 * 2**j)
-        du = ScalarField(grid, final.u1.values - ref.u1.values, EVEN)
-        dom = ScalarField(grid, final.omega1.values - ref.omega1.values, EVEN)
-        errors.append(math.sqrt(norm_l2(du) ** 2 + norm_l2(dom) ** 2))
+        errors.append(_field_error(final, ref.u1.values, ref.omega1.values))
     return errors
 
 
@@ -229,13 +236,10 @@ def self_convergence_study(cfg: SolverConfig, n_levels: int = 3) -> list[float]:
         spec = replace(cfg.grid, nr=cfg.grid.nr * 2**lev, nz=cfg.grid.nz * 2**lev)
         final, _ = run(replace(cfg, grid=spec, output_every=10_000_000))
         finals.append(final)
-    errors = []
-    for coarse, fine in zip(finals, finals[1:]):
-        g = coarse.grid
-        du = ScalarField(g, _restrict(fine.u1.values) - coarse.u1.values, EVEN)
-        dom = ScalarField(g, _restrict(fine.omega1.values) - coarse.omega1.values, EVEN)
-        errors.append(math.sqrt(norm_l2(du) ** 2 + norm_l2(dom) ** 2))
-    return errors
+    return [
+        _field_error(coarse, _restrict(fine.u1.values), _restrict(fine.omega1.values))
+        for coarse, fine in zip(finals, finals[1:])
+    ]
 
 
 def swirl_decay_error(

@@ -7,7 +7,7 @@ suites, and ``tests/test_acceptance.py`` runs each entry as one test.
 Inputs that several checks read, or that both gates compute in one
 process, are cached per process: the four reference runs (gaussian_ring
 and pure_swirl, nu in {0.05, 0.2}, 64x64, CFL 0.5, t_end 1), the
-refinement studies, the ratio ensemble and the offline-consistency run.
+refinement studies, the sharp constants and the offline-consistency run.
 """
 
 from __future__ import annotations
@@ -41,13 +41,13 @@ from .scenarios import Scenario
 from .storage import read_series, read_snapshot_dir
 from .studies import (
     bump_field,
+    criteria_constant,
     divergence_study,
     dynamics_spatial_study,
     dynamics_temporal_study,
     elliptic_study,
     observed_order,
     random_bump_terms,
-    ratio_ensemble,
     swirl_decay_error,
 )
 
@@ -237,7 +237,7 @@ def _offline_run():
     )
     with tempfile.TemporaryDirectory() as tmp:
         _, live = run(cfg, out_dir=tmp)
-        offline = CriteriaSeries.bare(nu=cfg.nu, s=cfg.s)
+        offline = CriteriaSeries(nu=cfg.nu, s=cfg.s)
         for st, nu in read_snapshot_dir(Path(tmp) / "snapshots"):
             diagnostics.sample(st, offline, nu)
         stored = read_series(Path(tmp) / "series.csv")
@@ -356,19 +356,29 @@ def _run_ratio(name, nu):
 
 
 @cache
-def _ensemble_maxima():
-    return tuple(max(ratio_ensemble(100, _grid(n, n), seed=11)) for n in (64, 128))
+def _sharp(n: int) -> tuple[float, int, float]:
+    """(C_n, k, rel): criteria_constant on the n x n grid, and the relative
+    distance from C_n of critA / critB of its maximizer via solve_stream."""
+    g = _grid(n, n)
+    C, k, profile = criteria_constant(g)
+    om1 = ScalarField(g, np.outer(profile, np.cos(2.0 * np.pi * k * g.z / g.spec.Lz)), EVEN)
+    st = State(u1=zeros_field(g), omega1=om1, psi1=solve_stream(om1), t=0.0)
+    return C, k, abs(diagnostics.criterion_A(st) / diagnostics.criterion_B(st) - C) / C
 
 
-def _ensemble_bounded():
-    m64, m128 = _ensemble_maxima()
-    return m64 <= 2.0 and m128 <= 2.0, f"max {m64:.3f} (64), {m128:.3f} (128)"
+def _sharp_detail() -> str:
+    return ", ".join("C_%d %.5f (k=%d)" % (n, *_sharp(n)[:2]) for n in (64, 128))
 
 
-def _ensemble_drift():
-    m64, m128 = _ensemble_maxima()
-    drift = abs(m128 - m64) / m64
-    return drift < 0.05, f"drift {drift:.2%}"
+def _sharp_bounded():
+    worst = max(_sharp(n)[2] for n in (64, 128))
+    ok = _sharp(64)[0] <= 2.0 and _sharp(128)[0] <= 2.0 and worst <= 1e-10
+    return ok, f"{_sharp_detail()}, maximizer rel err {worst:.1e}"
+
+
+def _sharp_drift():
+    drift = abs(_sharp(128)[0] - _sharp(64)[0]) / _sharp(64)[0]
+    return drift < 0.05, f"drift {drift:.2%}, {_sharp_detail()}"
 
 
 def _swirl_decay():
@@ -428,8 +438,8 @@ CHECKS: tuple[Check, ...] = (
         "maxprinciple",
         (("swirl maximum never exceeds its initial value", _swirl_maximum),),
     ),
-    Check("lemma33", "criteria ratio <= 2.0 on the 100-field ensemble", _ensemble_bounded),
-    Check("lemma33", "ensemble max ratio moves < 5% under refinement", _ensemble_drift),
+    Check("lemma33", "sharp criteria constant C_n <= 2.0 at n = 64, 128", _sharp_bounded),
+    Check("lemma33", "sharp criteria constant moves < 5% under refinement", _sharp_drift),
     *_per_run("lemma33", (("criteria ratio <= 2.0 along the run", _run_ratio),)),
     Check("mms", "forced-run recovery: spatial order >= 1.9", lambda: _orders(_spatial(), 1.9)),
     Check("mms", "forced-run recovery: temporal order >= 2.9", lambda: _orders(_temporal(), 2.9)),

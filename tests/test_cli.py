@@ -68,6 +68,15 @@ def test_run_bad_config_exit_2(tmp_path, capsys):
     assert "nu" in capsys.readouterr().err
 
 
+def test_run_forcing_on_without_manufactured_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "forced.cfg"
+    cfg.write_text(CONFIG + "forcing = on\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "manufactured" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_config_exit_2(tmp_path, capsys):
     code = main(
         ["run", "--config", str(tmp_path / "ghost.cfg"), "--out", str(tmp_path / "o")]

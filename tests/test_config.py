@@ -38,8 +38,12 @@ def test_scenario_geometry_defaults():
     assert sc.mode_k == 1
 
 
+# forcing = on is only valid with the manufactured scenario
+MANUFACTURED = GOOD.replace("scenario = gaussian_ring", "scenario = manufactured")
+
+
 def test_optional_overrides():
-    text = GOOD + "width = 0.3\nr_center = 0.4\namplitude = 2.5\nmode_k = 2\n"
+    text = MANUFACTURED + "width = 0.3\nr_center = 0.4\namplitude = 2.5\nmode_k = 2\n"
     text += "output_every = 3\ns = 5\nforcing = on\n"
     cfg = parse_config(text)
     assert cfg.scenario.width == 0.3
@@ -108,7 +112,14 @@ def test_t_end_zero_accepted():
 
 def test_forcing_spellings():
     for word, want in (("on", True), ("true", True), ("off", False), ("false", False)):
-        cfg = parse_config(GOOD + f"forcing = {word}\n")
+        cfg = parse_config(MANUFACTURED + f"forcing = {word}\n")
         assert cfg.forcing_enabled is want
     with pytest.raises(ConfigError):
-        parse_config(GOOD + "forcing = maybe\n")
+        parse_config(MANUFACTURED + "forcing = maybe\n")
+
+
+def test_forcing_needs_manufactured_scenario():
+    assert parse_config(GOOD + "forcing = off\n").forcing_enabled is False
+    with pytest.raises(ConfigError) as err:
+        parse_config(GOOD + "forcing = on\n")
+    assert "forcing" in str(err.value) and "manufactured" in str(err.value)

@@ -326,7 +326,7 @@ def test_sample_running_integrals(grid32):
     )
     from axns.elliptic import solve_stream
 
-    series = dg.CriteriaSeries.bare(nu=0.1)
+    series = dg.CriteriaSeries(nu=0.1, s=4)
     psi = solve_stream(om)
     s0 = make_state(grid32, om1=om, psi1=psi, t=0.0)
     s1 = make_state(grid32, om1=om, psi1=psi, t=0.25)
@@ -341,13 +341,13 @@ def test_sample_running_integrals(grid32):
 
 
 def test_sample_rejects_mismatched_nu(grid16):
-    series = dg.CriteriaSeries.bare(nu=0.1)
+    series = dg.CriteriaSeries(nu=0.1, s=4)
     with pytest.raises(ValueError):
         dg.sample(make_state(grid16), series, nu=0.2)
 
 
 def test_sample_rejects_time_reversal(grid16):
-    series = dg.CriteriaSeries.bare(nu=0.1)
+    series = dg.CriteriaSeries(nu=0.1, s=4)
     dg.sample(make_state(grid16, t=1.0), series, nu=0.1)
     with pytest.raises(ValueError):
         dg.sample(make_state(grid16, t=0.5), series, nu=0.1)
@@ -356,7 +356,7 @@ def test_sample_rejects_time_reversal(grid16):
 
 
 def test_omega1_budget_shapes_and_zero(grid16):
-    series = dg.CriteriaSeries.bare(nu=0.1)
+    series = dg.CriteriaSeries(nu=0.1, s=4)
     dg.sample(make_state(grid16, t=0.0), series, nu=0.1)
     dg.sample(make_state(grid16, t=1.0), series, nu=0.1)
     lhs, rhs = dg.omega1_budget(series, nu=0.1)

@@ -7,19 +7,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 from axns.diagnostics import criterion_A, criterion_B
-from axns.elliptic import _factor_for, solve_stream, stream_residual
+from axns.elliptic import _factor_for, mode_rows, solve_stream, stream_residual
 from axns.grid import (
     EVEN,
     GridSpec,
     ScalarField,
     field_from_function,
+    lap3_values,
     make_grid,
     modified_laplacian,
     norm_l2,
     zeros_field,
 )
 from axns.kinematics import State
-from axns.studies import bump_field, elliptic_study, observed_order, random_bump_terms
+from axns.studies import (
+    bump_field,
+    criteria_constant,
+    elliptic_study,
+    observed_order,
+    random_bump_terms,
+)
 
 
 def criteria_pair(om):
@@ -198,3 +205,36 @@ def test_solve_result_does_not_alias_the_grid_buffer(grid16, grid32, rng):
     for g in (grid16, grid32):
         for got, want in zip(interleaved[g], alone[g]):
             assert got.tobytes() == want.tobytes()
+
+
+def test_mode_rows_are_the_modes_of_minus_lap3():
+    g = make_grid(GridSpec(R=1.0, Lz=1.3, nr=17, nz=12))
+    psi = np.random.default_rng(5).standard_normal((g.nr, g.nz))
+    a, b, c = mode_rows(g)
+    assert a.shape == b.shape == c.shape == (g.nr, g.nz // 2 + 1)
+    assert np.all(a[0] == 0.0) and np.all(c[-1] == 0.0)
+    x = np.fft.rfft(psi, axis=1)
+    mx = b * x
+    mx[1:] += a[1:] * x[:-1]
+    mx[:-1] += c[:-1] * x[1:]
+    want = np.fft.rfft(-lap3_values(psi, g), axis=1)
+    assert np.max(np.abs(mx - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sharp_constant_bounds_the_bump_ensemble(grid64):
+    # the seed-11 ensemble of 100 two-term bump fields at 64^2
+    C, _, _ = criteria_constant(grid64)
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        A, B = criteria_pair(bump_field(random_bump_terms(rng, R=1.0, n_terms=2), grid64))
+        assert A <= C * (1.0 + 1e-12) * B
+
+
+@pytest.mark.parametrize("nr, nz", [(48, 32), (17, 12)])
+def test_sharp_constant_attained_by_its_maximizer(nr, nz):
+    g = make_grid(GridSpec(R=1.0, Lz=1.3, nr=nr, nz=nz))
+    C, k, profile = criteria_constant(g)
+    assert 0.0 < C <= 2.0 and 0 < k < nz // 2
+    om = ScalarField(g, np.outer(profile, np.cos(2 * np.pi * k * g.z / 1.3)), EVEN)
+    A, B = criteria_pair(om)
+    assert abs(A / B - C) <= 1e-10 * C

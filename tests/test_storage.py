@@ -156,7 +156,7 @@ def test_snapshot_dir_empty(tmp_path):
 
 
 def test_series_round_trip_value_exact(grid32, tmp_path, rng):
-    series = dg.CriteriaSeries.bare(nu=0.3)
+    series = dg.CriteriaSeries(nu=0.3, s=4)
     for t in (0.0, 0.5, 1.25):
         dg.sample(make_state(grid32, rng, t=t), series, nu=0.3)
     path = tmp_path / "series.csv"
@@ -171,7 +171,7 @@ def test_series_round_trip_value_exact(grid32, tmp_path, rng):
 
 def test_series_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
-        storage.write_series(dg.CriteriaSeries.bare(nu=0.1), tmp_path / "s.csv")
+        storage.write_series(dg.CriteriaSeries(nu=0.1, s=4), tmp_path / "s.csv")
 
 
 def test_series_rejects_foreign_header(tmp_path):
