@@ -7,7 +7,7 @@ time stepping, and a monitor series of weighted regularity functionals.
 Fields cross the API as ScalarField and State, except in the tendency kernel
 rhs(grid, u1, om1, psi1, nu, t, forcing=None) -> (du1, dom1) on raw arrays.
 The monitor kernel instantaneous(state, s) forms every column of one sample
-at once; sample(state, series, nu) appends it as a MonitorRow.  run holds
+at once; sample(state, series) appends it as a MonitorRow.  run holds
 one state at a time; lpq_norm(samples, q) integrates (t, ualpha_norm) pairs.
 """
 

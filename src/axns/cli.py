@@ -82,7 +82,7 @@ def _cmd_criteria(args) -> int:
     for state, nu in read_snapshot_dir(args.snapshots):
         if series is None:
             series = CriteriaSeries(nu=nu, s=args.s)
-        diagnostics.sample(state, series, nu)
+        diagnostics.sample(state, series)
         norms.append((state.t, ualpha_norm(state, args.s, p)))
     write_series(series, args.out)
     print(f"wrote {len(series.rows)} rows to {args.out}")

@@ -184,17 +184,18 @@ def lpq_norm(samples: Sequence[tuple[float, float]], q: float) -> float:
     return integral ** (1.0 / q)
 
 
-def omega1_budget(series: CriteriaSeries, nu: float) -> tuple[np.ndarray, np.ndarray]:
+def omega1_budget(series: CriteriaSeries) -> tuple[np.ndarray, np.ndarray]:
     """Vorticity energy budget along the rows:
 
     lhs(t) = (1/2)||om1(t)||^2 + (nu/2) int_0^t ||grad om1||^2
     rhs(t) = (2/nu) int_0^t ||u1||_L4^4 + (1/2)||om1(0)||^2
 
-    The inequality lhs <= rhs holds for the continuum system with slack;
-    callers check it row by row with a small tolerance.
+    with nu = series.nu.  The inequality lhs <= rhs holds for the continuum
+    system with slack; callers check it row by row with a small tolerance.
     """
     if not series.rows:
         raise ValueError("omega1_budget: empty series")
+    nu = series.nu
     om0 = series.rows[0].om1_l2
     lhs = np.array(
         [0.5 * row.om1_l2**2 + 0.5 * nu * row.om1_grad_int for row in series.rows]
@@ -205,7 +206,7 @@ def omega1_budget(series: CriteriaSeries, nu: float) -> tuple[np.ndarray, np.nda
     return lhs, rhs
 
 
-def instantaneous(state: State, s: int = 4) -> dict:
+def instantaneous(state: State, s: int) -> dict:
     """Instantaneous functionals of one state, keyed by column name or, for
     a running integral <key>_int, by <key>; see the module docstring.  A
     non-finite entry (an overflow) raises ValueError.
@@ -253,11 +254,9 @@ def instantaneous(state: State, s: int = 4) -> dict:
     return inst
 
 
-def sample(state: State, series: CriteriaSeries, nu: float) -> MonitorRow:
+def sample(state: State, series: CriteriaSeries) -> MonitorRow:
     """Append one monitor row; running integrals advance by the trapezoid
     rule against the previous row's instantaneous values."""
-    if not math.isclose(series.nu, nu, rel_tol=1e-12):
-        raise ValueError(f"sample: nu {nu} does not match the series nu {series.nu}")
     inst = instantaneous(state, series.s)
     t = state.t
     last = series.rows[-1] if series.rows else None

@@ -171,7 +171,7 @@ def run(cfg: SolverConfig, out_dir: str | None = None):
         out = storage.RunWriter(out_dir, cfg)
 
     def emit(st: State) -> None:
-        diagnostics.sample(st, series, cfg.nu)
+        diagnostics.sample(st, series)
         if out is not None:
             out.snapshot(st)
 

@@ -21,26 +21,26 @@ in z with an exponential decay in time:
 
 Both evolved fields vanish quadratically at the wall, matching the
 Dirichlet treatment there, and the even powers of r make the axis ghost
-exact.  om1* is derived symbolically so the elliptic constraint holds in
-closed form, and the two forcing terms are the symbolic residuals of the
-evolution equations.
+exact.  om1* and the two forcing terms, the residuals of the evolution
+equations, are written in closed form: each radial part is a numpy
+Polynomial, differentiated exactly, times sines and cosines of the one
+axial mode (see manufactured_solution).
 
 Every field and forcing term is time-separable, sum_m exp(-m t) F_m(r, z)
 with m in {1, 2}: the fields decay like exp(-t), and advection and
-stretching are quadratic in them.  The forcing is expanded symbolically
-once per run, on first use, and each spatial factor F_m is sampled once
-per grid, so evaluating the forcing at a stage time costs two scalar
+stretching are quadratic in them.  All factors F_m are sampled once per
+grid, so evaluating the forcing at a stage time costs two scalar
 exponentials and two array updates.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .elliptic import solve_stream
 from .grid import EVEN, Grid, GridSpec, ScalarField, zeros_field
@@ -96,7 +96,7 @@ def init_scenario(scenario: Scenario, grid: Grid) -> State:
         u1 = ScalarField(grid, vals.copy(), EVEN)
         om1 = ScalarField(grid, vals.copy(), EVEN)
     elif name == "manufactured":
-        # nu enters only the forcing, which is never built here
+        # nu enters only the forcing, which is not read here
         man = manufactured_solution(grid.spec, nu=1.0, scenario=scenario)
         u1 = ScalarField(grid, man.u1(grid, 0.0), EVEN)
         om1 = ScalarField(grid, man.om1(grid, 0.0), EVEN)
@@ -109,35 +109,27 @@ def init_scenario(scenario: Scenario, grid: Grid) -> State:
 class ManufacturedSolution:
     """Closed-form fields and forcing on one cylinder (R, Lz).
 
-    Every key has the form sum_m exp(-m t) F_m(r, z).  The factors of a key
-    are lambdified on its first use and sampled once per grid, so an
+    Every key has the form sum_m exp(-m t) F_m(r, z), m = 1, 2.  All
+    factors of all keys are sampled together on a grid's first use, so an
     evaluation costs one scalar exp and one axpy per mode.
     """
 
-    def __init__(self, R: float, Lz: float, modes):
+    def __init__(self, R: float, Lz: float, factors):
         self.R, self.Lz = R, Lz
-        self._modes = modes  # key -> [(m, F_m(r, z))], lambdified on first call
+        self._factors_at = factors  # (r column, z row) -> {key: [F_1, ...]}
         self._sampled: "weakref.WeakKeyDictionary[Grid, dict]" = weakref.WeakKeyDictionary()
 
-    def _factors(self, key: str, grid: Grid) -> list:
+    def _eval(self, key: str, grid: Grid, t: float) -> np.ndarray:
         if (grid.spec.R, grid.spec.Lz) != (self.R, self.Lz):
             raise ValueError(
                 f"manufactured solution was built for R = {self.R}, Lz = {self.Lz}; "
                 f"grid has R = {grid.spec.R}, Lz = {grid.spec.Lz}"
             )
-        sampled = self._sampled.setdefault(grid, {})
-        if key not in sampled:
-            r, z = grid.r[:, None], grid.z[None, :]
-            shape = (grid.nr, grid.nz)
-            sampled[key] = [
-                (m, np.broadcast_to(fn(r, z), shape).astype(np.float64))
-                for m, fn in self._modes(key)
-            ]
-        return sampled[key]
-
-    def _eval(self, key: str, grid: Grid, t: float) -> np.ndarray:
-        out = np.zeros((grid.nr, grid.nz))
-        for m, factor in self._factors(key, grid):
+        if grid not in self._sampled:
+            self._sampled[grid] = self._factors_at(grid.r[:, None], grid.z[None, :])
+        first, *rest = self._sampled[grid][key]
+        out = math.exp(-t) * first
+        for m, factor in enumerate(rest, start=2):
             out += math.exp(-m * t) * factor
         return out
 
@@ -146,9 +138,6 @@ class ManufacturedSolution:
 
     def om1(self, grid: Grid, t: float) -> np.ndarray:
         return self._eval("om1", grid, t)
-
-    def psi1(self, grid: Grid, t: float) -> np.ndarray:
-        return self._eval("psi1", grid, t)
 
     def f_u(self, grid: Grid, t: float) -> np.ndarray:
         return self._eval("f_u", grid, t)
@@ -160,58 +149,66 @@ class ManufacturedSolution:
 def manufactured_solution(
     spec: GridSpec, nu: float, scenario: Scenario | None = None
 ) -> ManufacturedSolution:
-    """Build the closed forms symbolically; lambdify each on first use.
+    """Closed forms of the fields and of the forcing, as polynomials in r
+    times sines and cosines of kz = 2 pi k z / Lz.
 
-    The forcing terms are the residuals of the two evolution equations on
-    the prescribed fields, with velocities reconstructed from psi1*, so a
-    run forced this way has (u1*, om1*) as exact solution.  Time enters
-    only through the decay a = exp(-t): the fields are linear in a, d/dt is
-    -a d/da, and advection and stretching are quadratic, so each
-    expression splits into its coefficients of a and a^2.  The forcing is
-    derived and expanded only when first evaluated.
+    With a = exp(-t) and s = 1 - (r/R)^2 the fields are
+
+        psi1* = a Psi(r) cos(kz),         Psi = 0.4 A s^4
+        u1*   = a U(r)   cos(kz + 0.7),   U   = A s^2
+        om1*  = a Om(r)  cos(kz),         Om  = kappa^2 Psi - L_r Psi
+
+    with kappa = 2 pi k / Lz and L_r p = p'' + 3 p'/r; p'/r is a polynomial
+    because every radial part is even.  The velocities are
+    v_r = a kappa r Psi sin(kz) and v_z = a (2 Psi + r Psi') cos(kz).
+
+    Each forcing term is the residual of its evolution equation on these
+    fields, so a run forced this way has (u1*, om1*) as exact solution.
+    d/dt and diffusion are linear in a: a field a f gives the mode
+    F_1 = -f - nu lap3(f).  Advection and stretching are quadratic: the mode
+    F_2 = v_r d_r f + v_z d_z f - stretching, per a^2, written term by term.
     """
-    import sympy as sp
-
     if scenario is None:
         scenario = Scenario(name="manufactured")
     A = float(scenario.amplitude)
-    k = int(scenario.mode_k)
     R, Lz = float(spec.R), float(spec.Lz)
+    kappa = 2.0 * np.pi * int(scenario.mode_k) / Lz
 
-    r, z, a = sp.symbols("r z a", positive=True)
-    kz = 2 * sp.pi * k * z / Lz
-    psi = sp.Rational(2, 5) * A * (1 - (r / R) ** 2) ** 4 * sp.cos(kz) * a
-    u1 = A * (1 - (r / R) ** 2) ** 2 * sp.cos(kz + sp.Rational(7, 10)) * a
+    x = Polynomial([0.0, 1.0])
+    s = 1.0 - (x / R) ** 2
+    Psi = 0.4 * A * s**4
+    U = A * s**2
 
-    def lap3(f):
-        return sp.diff(f, r, 2) + 3 / r * sp.diff(f, r) + sp.diff(f, z, 2)
+    def lap_r(p: Polynomial) -> Polynomial:
+        # p' of an even p has no constant term, so p'/r drops one power
+        return p.deriv(2) + 3.0 * Polynomial(p.deriv().coef[1:])
 
-    exprs = {"psi1": psi, "u1": u1, "om1": sp.expand(-lap3(psi))}
+    Om = kappa**2 * Psi - lap_r(Psi)
+    Vr = kappa * x * Psi  # v_r = a Vr sin(kz)
+    Vz = 2.0 * Psi + x * Psi.deriv()  # v_z = a Vz cos(kz)
 
-    def forcing() -> dict:
-        om1 = exprs["om1"]
-        vr = -r * sp.diff(psi, z)
-        vz = 2 * psi + r * sp.diff(psi, r)
+    def decay(p: Polynomial) -> Polynomial:
+        # radial part of -f - nu lap3(f) for f = p(r) times one z mode
+        return -p - nu * (lap_r(p) - kappa**2 * p)
 
-        def advect(f):
-            return vr * sp.diff(f, r) + vz * sp.diff(f, z)
+    def factors(r: np.ndarray, z: np.ndarray) -> dict:
+        c, sn = np.cos(kappa * z), np.sin(kappa * z)
+        c7, s7 = np.cos(kappa * z + 0.7), np.sin(kappa * z + 0.7)
+        f_u2 = (
+            (Vr * U.deriv())(r) * (sn * c7)
+            - kappa * (Vz * U)(r) * (c * s7)
+            + 2.0 * kappa * (U * Psi)(r) * (c7 * sn)  # -2 u1 d_z psi1
+        )
+        f_om2 = (
+            (Vr * Om.deriv())(r) * (sn * c)
+            - kappa * (Vz * Om)(r) * (c * sn)
+            + 2.0 * kappa * (U * U)(r) * (c7 * s7)  # -2 u1 d_z u1
+        )
+        return {
+            "u1": [U(r) * c7],
+            "om1": [Om(r) * c],
+            "f_u": [decay(U)(r) * c7, f_u2],
+            "f_om": [decay(Om)(r) * c, f_om2],
+        }
 
-        def d_dt(f):
-            return -a * sp.diff(f, a)
-
-        f_u = d_dt(u1) + advect(u1) - nu * lap3(u1) - 2 * u1 * sp.diff(psi, z)
-        f_om = d_dt(om1) + advect(om1) - nu * lap3(om1) - 2 * u1 * sp.diff(u1, z)
-        return {"f_u": sp.expand(f_u), "f_om": sp.expand(f_om)}
-
-    @functools.cache
-    def modes(key: str) -> list:
-        if key not in exprs:
-            exprs.update(forcing())
-        # collect keeps each coefficient term for term as in the expression
-        by_power = sp.collect(exprs[key], a, evaluate=False)
-        return [
-            (int(sp.degree(power, a)), sp.lambdify((r, z), coeff, modules="numpy"))
-            for power, coeff in by_power.items()
-        ]
-
-    return ManufacturedSolution(R, Lz, modes)
+    return ManufacturedSolution(R, Lz, factors)

@@ -238,8 +238,8 @@ def _offline_run():
     with tempfile.TemporaryDirectory() as tmp:
         _, live = run(cfg, out_dir=tmp)
         offline = CriteriaSeries(nu=cfg.nu, s=cfg.s)
-        for st, nu in read_snapshot_dir(Path(tmp) / "snapshots"):
-            diagnostics.sample(st, offline, nu)
+        for st, _ in read_snapshot_dir(Path(tmp) / "snapshots"):
+            diagnostics.sample(st, offline)
         stored = read_series(Path(tmp) / "series.csv")
     return live.rows, offline.rows, stored
 
@@ -331,7 +331,7 @@ def _energy_drop(name, nu):
 
 
 def _vorticity_budget(name, nu):
-    lhs, rhs = omega1_budget(acceptance_run(name, nu)[2], nu)
+    lhs, rhs = omega1_budget(acceptance_run(name, nu)[2])
     excess = float(np.max(lhs - 1.01 * rhs))
     return bool(np.all(lhs <= 1.01 * rhs)), f"max excess {excess:.2e}"
 

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from axns import storage, verify
+from axns import dynamics, storage, verify
 from axns.cli import main
+from axns.diagnostics import ualpha_norm
 from axns.grid import EVEN, GridSpec, ScalarField, make_grid
 from axns.kinematics import State
 from axns.verify import CHECKS, SUITES
@@ -77,6 +78,30 @@ def test_run_forcing_on_without_manufactured_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_blow_up_exits_1_and_keeps_outputs(tmp_path, capsys, monkeypatch):
+    real_step = dynamics.step
+    taken = []
+
+    def step_then_blow_up(state, dt, cfg, forcing=None):
+        if len(taken) == 5:
+            raise dynamics.BlowUpError("non-finite fields after stage 1")
+        taken.append(dt)
+        return real_step(state, dt, cfg, forcing)
+
+    monkeypatch.setattr(dynamics, "step", step_then_blow_up)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "aborted: non-finite fields after stage 1" in capsys.readouterr().err
+    # output_every = 2: the initial state and steps 2 and 4 were sampled
+    rows = storage.read_series(out / "series.csv")
+    snaps = sorted((out / "snapshots").glob("*.axns"))
+    assert len(rows) == len(snaps) == 3
+    assert [row.t for row in rows] == [0.0, taken[0] + taken[1], sum(taken[:4])]
+    assert [storage.read_snapshot(p)[0].t for p in snaps] == [row.t for row in rows]
+
+
 def test_run_missing_config_exit_2(tmp_path, capsys):
     code = main(
         ["run", "--config", str(tmp_path / "ghost.cfg"), "--out", str(tmp_path / "o")]
@@ -123,6 +148,17 @@ def test_criteria_lpq_matches_trapezoid_of_series(run_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "single snapshot: finite-q space-time norm undefined, skipped" in out
     assert len(storage.read_series(out_csv)) == 1
+
+
+def test_criteria_inf_exponents_take_max_over_snapshots(run_dir, tmp_path, capsys):
+    out_csv = tmp_path / "offline.csv"
+    argv = ["criteria", "--snapshots", str(run_dir / "snapshots"), "--out", str(out_csv)]
+    assert main(argv + ["--p", "inf", "--q", "Infinity"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    states = [st for st, _ in storage.read_snapshot_dir(run_dir / "snapshots")]
+    want = max(ualpha_norm(st, 4, math.inf) for st in states)
+    assert len(states) >= 3 and want > 0.0
+    assert line == f"lpq_norm of weighted swirl (p=inf, q=inf, s=4): {want:.12g}"
 
 
 @pytest.mark.parametrize("flag,value", [("--p", "0.5"), ("--q", "nan"), ("--p", "-inf")])

@@ -72,7 +72,7 @@ def test_column_order_frozen():
 def test_energy_constant_swirl(grid64):
     # v_phi = c r: E = (c^2/2) int r^2 dx = pi c^2 Lz (R^4/4 - R^2 Dr^2/8)
     c = 1.3
-    E = dg.instantaneous(const_u1_state(grid64, c))["E"]
+    E = dg.instantaneous(const_u1_state(grid64, c), 4)["E"]
     want = math.pi * c * c * (0.25 - grid64.dr**2 / 8.0)
     assert math.isclose(E, want, rel_tol=1e-12)
     assert math.isclose(E, math.pi * c * c / 4.0, rel_tol=3e-4)
@@ -84,7 +84,7 @@ def test_dissipation_constant_swirl(grid32):
     # c r_{nr-1} / (Dr/2), and the weighted swirl term integrates c^2.
     c = 0.8
     g = grid32
-    D = dg.instantaneous(const_u1_state(g, c))["D"]
+    D = dg.instantaneous(const_u1_state(g, c), 4)["D"]
     R = 1.0
     faces = math.pi * R * (R - g.dr)
     wall = math.pi * R * (2 * R - g.dr) ** 2 / g.dr
@@ -99,7 +99,7 @@ def test_dissipation_constant_stream(grid32):
     c = 0.6
     g = grid32
     psi = field_from_function(g, lambda r, z: c + 0 * r, EVEN)
-    D = dg.instantaneous(make_state(g, psi1=psi))["D"]
+    D = dg.instantaneous(make_state(g, psi1=psi), 4)["D"]
     R = 1.0
     r_last = g.r[-1]
     vz_wall = 2 * c - c * r_last / g.dr
@@ -131,7 +131,7 @@ def test_criterion_b_constant(grid64):
 
 def test_swirl_sup_values(grid32):
     def swirl_sup(state):
-        return dg.instantaneous(state)["swirl_sup"]
+        return dg.instantaneous(state, 4)["swirl_sup"]
 
     assert swirl_sup(const_u1_state(grid32, 1.0)) == pytest.approx(
         (1.0 - grid32.dr / 2) ** 2, rel=1e-14
@@ -161,7 +161,7 @@ def test_phi_gamma_norms(grid64):
     k = 2 * np.pi
     u1 = field_from_function(g, lambda r, z: np.cos(k * z) + 0 * r, EVEN)
     om = field_from_function(g, lambda r, z: 1.0 + 0 * r, EVEN)
-    inst = dg.instantaneous(make_state(g, u1=u1, om1=om))
+    inst = dg.instantaneous(make_state(g, u1=u1, om1=om), 4)
     phi, gamma = inst["phi_l2"], inst["om1_l2"]
     ktil = math.sin(k * g.dz) / g.dz
     assert math.isclose(phi, ktil * math.sqrt(math.pi / 2), rel_tol=1e-12)
@@ -170,7 +170,7 @@ def test_phi_gamma_norms(grid64):
 
 
 def cfz_entries(state):
-    inst = dg.instantaneous(state)
+    inst = dg.instantaneous(state, 4)
     return inst["cfz_l2"], inst["cfz_grad"], inst["u1_l4"]
 
 
@@ -298,7 +298,7 @@ def test_instantaneous_rejects_overflow(grid16):
     # |u1|^4 overflows to inf; the finished row is checked once
     u1 = field_from_function(grid16, lambda r, z: 1e100 + 0 * r, EVEN)
     with pytest.raises(ValueError, match="u1_l4"):
-        dg.instantaneous(make_state(grid16, u1=u1))
+        dg.instantaneous(make_state(grid16, u1=u1), 4)
 
 
 def test_lpq_input_validation(grid16):
@@ -330,35 +330,29 @@ def test_sample_running_integrals(grid32):
     psi = solve_stream(om)
     s0 = make_state(grid32, om1=om, psi1=psi, t=0.0)
     s1 = make_state(grid32, om1=om, psi1=psi, t=0.25)
-    r0 = dg.sample(s0, series, nu=0.1)
-    r1 = dg.sample(s1, series, nu=0.1)
+    r0 = dg.sample(s0, series)
+    r1 = dg.sample(s1, series)
     assert r0.critA_int == 0.0
     assert math.isclose(r1.critA_int, 0.25 * r1.critA, rel_tol=1e-14)
     assert math.isclose(r1.critB_int, 0.25 * r1.critB, rel_tol=1e-14)
-    om1_grad = dg.instantaneous(s1)["om1_grad"]
+    om1_grad = dg.instantaneous(s1, 4)["om1_grad"]
     assert math.isclose(r1.om1_grad_int, 0.25 * om1_grad, rel_tol=1e-14)
     assert len(series.rows) == 2
 
 
-def test_sample_rejects_mismatched_nu(grid16):
-    series = dg.CriteriaSeries(nu=0.1, s=4)
-    with pytest.raises(ValueError):
-        dg.sample(make_state(grid16), series, nu=0.2)
-
-
 def test_sample_rejects_time_reversal(grid16):
     series = dg.CriteriaSeries(nu=0.1, s=4)
-    dg.sample(make_state(grid16, t=1.0), series, nu=0.1)
+    dg.sample(make_state(grid16, t=1.0), series)
     with pytest.raises(ValueError):
-        dg.sample(make_state(grid16, t=0.5), series, nu=0.1)
+        dg.sample(make_state(grid16, t=0.5), series)
     with pytest.raises(ValueError):
-        dg.sample(make_state(grid16, t=math.nan), series, nu=0.1)
+        dg.sample(make_state(grid16, t=math.nan), series)
 
 
 def test_omega1_budget_shapes_and_zero(grid16):
     series = dg.CriteriaSeries(nu=0.1, s=4)
-    dg.sample(make_state(grid16, t=0.0), series, nu=0.1)
-    dg.sample(make_state(grid16, t=1.0), series, nu=0.1)
-    lhs, rhs = dg.omega1_budget(series, nu=0.1)
+    dg.sample(make_state(grid16, t=0.0), series)
+    dg.sample(make_state(grid16, t=1.0), series)
+    lhs, rhs = dg.omega1_budget(series)
     assert lhs.shape == rhs.shape == (2,)
     assert np.all(lhs == 0.0) and np.all(rhs == 0.0)

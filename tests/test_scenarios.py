@@ -1,5 +1,10 @@
 """Initial-condition library checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,8 @@ from axns.diagnostics import instantaneous
 from axns.elliptic import stream_residual
 from axns.grid import GridSpec, make_grid, norm_l2
 from axns.scenarios import Scenario, init_scenario, manufactured_solution
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_zero_scenario(grid16):
@@ -24,7 +31,7 @@ def test_zero_amplitude_ring(grid16):
 
 def test_pure_swirl_finite_sup(grid32):
     state = init_scenario(Scenario(name="pure_swirl", amplitude=1.0), grid32)
-    sup = instantaneous(state)["swirl_sup"]
+    sup = instantaneous(state, 4)["swirl_sup"]
     assert np.isfinite(sup) and sup > 0.0
     assert np.max(np.abs(state.omega1.values)) == 0.0
     assert np.max(np.abs(state.psi1.values)) == 0.0
@@ -72,24 +79,29 @@ def _unseparated_reference(R, Lz, A, k, nu):
 
     f_u = sp.diff(u1, t) + advect(u1) - nu * lap3(u1) - 2 * u1 * sp.diff(psi, z)
     f_om = sp.diff(om1, t) + advect(om1) - nu * lap3(om1) - 2 * u1 * sp.diff(u1, z)
-    exprs = {"psi1": psi, "u1": u1, "om1": om1, "f_u": sp.expand(f_u), "f_om": sp.expand(f_om)}
+    exprs = {"u1": u1, "om1": om1, "f_u": sp.expand(f_u), "f_om": sp.expand(f_om)}
     return {key: sp.lambdify((r, z, t), e, modules="numpy") for key, e in exprs.items()}
 
 
-def test_manufactured_matches_symbolic(grid32):
-    spec = GridSpec(R=1.0, Lz=1.0, nr=grid32.nr, nz=grid32.nz)
-    sc = Scenario(name="manufactured", amplitude=1.0)
-    ms = manufactured_solution(spec, nu=0.1, scenario=sc)
-    state = init_scenario(sc, grid32)
-    assert np.allclose(state.u1.values, ms.u1(grid32, 0.0), atol=1e-12)
-    assert np.allclose(state.omega1.values, ms.om1(grid32, 0.0), atol=1e-12)
+@pytest.mark.parametrize(
+    "R,Lz,A,k,nu,nr,nz",
+    [(1.0, 1.0, 1.0, 1, 0.1, 32, 32), (1.3, 2.0, 0.7, 2, 0.05, 24, 40)],
+    ids=["unit", "R1.3-Lz2-k2"],
+)
+def test_manufactured_matches_symbolic(R, Lz, A, k, nu, nr, nz):
+    grid = make_grid(GridSpec(R=R, Lz=Lz, nr=nr, nz=nz))
+    sc = Scenario(name="manufactured", amplitude=A, mode_k=k)
+    ms = manufactured_solution(grid.spec, nu=nu, scenario=sc)
+    state = init_scenario(sc, grid)
+    assert np.allclose(state.u1.values, ms.u1(grid, 0.0), atol=1e-12)
+    assert np.allclose(state.omega1.values, ms.om1(grid, 0.0), atol=1e-12)
 
-    ref = _unseparated_reference(1.0, 1.0, 1.0, 1, 0.1)
-    r, z = grid32.r[:, None], grid32.z[None, :]
+    ref = _unseparated_reference(R, Lz, A, k, nu)
+    r, z = grid.r[:, None], grid.z[None, :]
     for t in (0.0, 0.37, 1.9):
         for key, fn in ref.items():
-            want = np.broadcast_to(fn(r, z, t), (grid32.nr, grid32.nz))
-            got = getattr(ms, key)(grid32, t)
+            want = np.broadcast_to(fn(r, z, t), (nr, nz))
+            got = getattr(ms, key)(grid, t)
             # the floor covers points where an expanded sum cancels to
             # near zero and its roundoff, relative to the terms, dominates
             scale = np.max(np.abs(want))
@@ -99,10 +111,40 @@ def test_manufactured_matches_symbolic(grid32):
 
 def test_manufactured_rejects_other_cylinder(grid32):
     ms = manufactured_solution(GridSpec(R=1.0, Lz=2.0, nr=32, nz=32), nu=0.1)
-    for key in ("u1", "om1", "psi1", "f_u", "f_om"):
+    for key in ("u1", "om1", "f_u", "f_om"):
         with pytest.raises(ValueError, match="Lz"):
             getattr(ms, key)(grid32, 0.0)
     wide = make_grid(GridSpec(R=2.0, Lz=2.0, nr=32, nz=32))
     with pytest.raises(ValueError, match="R"):
         ms.f_u(wide, 0.5)
     assert ms.f_u(make_grid(GridSpec(R=1.0, Lz=2.0, nr=8, nz=16)), 0.5).shape == (8, 16)
+
+
+FORCED_CONFIG = """
+nu = 0.1
+R = 1.0
+Lz = 1.0
+nr = 16
+nz = 16
+cfl = 0.5
+t_end = 0.01
+scenario = manufactured
+forcing = on
+"""
+
+
+def test_forced_run_needs_no_sympy(tmp_path):
+    # the closed forms are plain numpy: a forced run works with sympy absent
+    cfg = tmp_path / "forced.cfg"
+    cfg.write_text(FORCED_CONFIG)
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from axns.cli import main\n"
+        f"sys.exit(main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "series.csv").exists()

@@ -158,7 +158,7 @@ def test_snapshot_dir_empty(tmp_path):
 def test_series_round_trip_value_exact(grid32, tmp_path, rng):
     series = dg.CriteriaSeries(nu=0.3, s=4)
     for t in (0.0, 0.5, 1.25):
-        dg.sample(make_state(grid32, rng, t=t), series, nu=0.3)
+        dg.sample(make_state(grid32, rng, t=t), series)
     path = tmp_path / "series.csv"
     storage.write_series(series, path)
     rows = storage.read_series(path)
