@@ -82,8 +82,10 @@ def _cmd_criteria(args) -> int:
     for state, nu in read_snapshot_dir(args.snapshots):
         if series is None:
             series = CriteriaSeries(nu=nu, s=args.s)
-        diagnostics.sample(state, series)
-        norms.append((state.t, ualpha_norm(state, args.s, p)))
+        row = diagnostics.sample(state, series)
+        # with p = s the row's ualpha_s column is the integral ualpha_norm forms
+        norm = row.ualpha_s ** (1.0 / p) if p == args.s else ualpha_norm(state, args.s, p)
+        norms.append((state.t, norm))
     write_series(series, args.out)
     print(f"wrote {len(series.rows)} rows to {args.out}")
 

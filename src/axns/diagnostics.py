@@ -24,9 +24,12 @@ instantaneous(state, s) is the one place these formulas are written.  It
 takes each stencil once (the velocity from reconstruct_velocity, then
 d_dz of psi1 and u1, and d_dr/d_dz of w and om1), forms r^2 u1 and its
 maximum once for swirl_sup and quartic_rhs, and sums raw node values
-against grid.quad_w.  One finiteness check on the finished entries
-replaces a check per integrand.  criterion_A, criterion_B and
-quartic_check evaluate single columns for callers outside the series.
+against grid.quad_w.  Each integrand is formed in a buffer of the grid's
+workspace (grid.work) and summed there, so a sample allocates only the
+velocity and one radial derivative.  One finiteness check on the
+finished entries replaces a check per integrand.  criterion_A,
+criterion_B and quartic_check evaluate single columns for callers outside
+the series.
 
 No functional divides by r pointwise: the 1/r weights are absorbed into
 the reduced variables (v_r/r = -d_dz(psi1), v_phi/r = u1, om_phi/r = om1)
@@ -52,7 +55,7 @@ import math
 
 import numpy as np
 
-from .grid import ODD, Grid, ScalarField, d_dr, d_dz
+from .grid import ODD, Grid, d_dr, d_dr_values, d_dz, d_dz_values
 from .kinematics import State, reconstruct_velocity
 
 
@@ -92,13 +95,21 @@ class CriteriaSeries:
 
 def _face_grad_sq(vals: np.ndarray, grid: Grid, wall_zero: bool) -> float:
     """int |grad f|^2 dx from face differences; see the module docstring."""
-    w_node = grid.quad_w[:, None]
-    dfz = np.diff(vals, axis=1, append=vals[:, :1]) / grid.dz
-    total = np.sum(w_node * dfz * dfz)
-    dfr = (vals[1:] - vals[:-1]) / grid.dr
-    r_face = grid.r[:-1] + 0.5 * grid.dr
-    w_face = (2.0 * np.pi * r_face * grid.dr * grid.dz)[:, None]
-    total += np.sum(w_face * dfr * dfr)
+    ws = grid.work
+    d, sq = ws.leaf[1], ws.leaf[2]
+    # axial faces along the flattened C-ordered array (as d_dz_values
+    # does), then the last column again, across the periodic wrap
+    vals = np.ascontiguousarray(vals)
+    np.subtract(vals.reshape(-1)[1:], vals.reshape(-1)[:-1], out=d.reshape(-1)[:-1])
+    np.subtract(vals[:, 0], vals[:, -1], out=d[:, -1])
+    d /= grid.dz
+    np.multiply(ws.quad_w, d, out=sq)
+    total = np.sum(np.multiply(sq, d, out=sq))
+    dr, sqr = d[:-1], sq[:-1]  # the nr - 1 interior radial faces
+    np.subtract(vals[1:], vals[:-1], out=dr)
+    dr /= grid.dr
+    np.multiply(ws.face_w, dr, out=sqr)
+    total += np.sum(np.multiply(sqr, dr, out=sqr))
     if wall_zero:
         half = 0.5 * grid.dr
         w_wall = 2.0 * np.pi * grid.spec.R * half * grid.dz
@@ -109,7 +120,8 @@ def _face_grad_sq(vals: np.ndarray, grid: Grid, wall_zero: bool) -> float:
 
 def _criterion_a(g: Grid, dpz: np.ndarray) -> float:
     """critA from the node values dpz of d_dz(psi1)."""
-    return float(2.0 * np.pi * g.dr * g.dz * np.sum(dpz * dpz))
+    sq = np.multiply(dpz, dpz, out=g.work.leaf[0])
+    return float(2.0 * np.pi * g.dr * g.dz * np.sum(sq))
 
 
 def criterion_A(state: State) -> float:
@@ -121,7 +133,9 @@ def criterion_B(state: State) -> float:
     """int om_phi^2 / r dx via 2 pi int r^2 om1^2 dr dz."""
     g = state.grid
     om = state.omega1.values
-    return float(2.0 * np.pi * g.dr * g.dz * np.sum((g.r[:, None] ** 2) * om * om))
+    sq = np.multiply(g.work.r2, om, out=g.work.leaf[0])
+    sq *= om
+    return float(2.0 * np.pi * g.dr * g.dz * np.sum(sq))
 
 
 def _swirl_quartic(g: Grid, u: np.ndarray) -> tuple[float, float, float]:
@@ -130,11 +144,16 @@ def _swirl_quartic(g: Grid, u: np.ndarray) -> tuple[float, float, float]:
     Both integrals are assembled elementwise with the same weights and
     summed by the same reduction, so lhs <= rhs survives rounding exactly.
     """
-    w = g.quad_w[:, None]
-    a = (g.r[:, None] ** 2) * u
-    usq = u * u
-    m = float(np.max(np.abs(a)))
-    return m, float(np.sum(w * ((a * a) * usq))), float(np.sum(w * ((m * m) * usq)))
+    ws = g.work
+    a, usq, t = ws.leaf
+    np.multiply(ws.r2, u, out=a)
+    np.multiply(u, u, out=usq)
+    m = float(np.max(np.abs(a, out=t)))
+    np.multiply(a, a, out=t)
+    t *= usq
+    lhs = float(np.sum(np.multiply(ws.quad_w, t, out=t)))
+    np.multiply(m * m, usq, out=t)
+    return m, lhs, float(np.sum(np.multiply(ws.quad_w, t, out=t)))
 
 
 def quartic_check(state: State) -> tuple[float, float]:
@@ -146,8 +165,10 @@ def quartic_check(state: State) -> tuple[float, float]:
 def _ualpha_integral(g: Grid, u: np.ndarray, s: int, p: float) -> float:
     """int |u_alpha|^p dx with u_alpha = r^(2 - 3/s) u1, summed as
     r^((2s - 3) p / s) |u1|^p; the exponent is exactly 2s - 3 when p = s."""
-    weight = g.r[:, None] ** ((2.0 * s - 3.0) * p / s)
-    return float(np.sum(weight * np.abs(u) ** p * g.quad_w[:, None]))
+    ws = g.work
+    t = np.power(np.abs(u, out=ws.leaf[0]), p, out=ws.leaf[0])
+    np.multiply(ws.r_power((2.0 * s - 3.0) * p / s), t, out=t)
+    return float(np.sum(np.multiply(t, ws.quad_w, out=t)))
 
 
 def ualpha_norm(state: State, s: int, p: float) -> float:
@@ -214,36 +235,57 @@ def instantaneous(state: State, s: int) -> dict:
     if s < 3:
         raise ValueError(f"s must be an integer >= 3, got {s}")
     g = state.grid
-    w = g.quad_w[:, None]
-    r = g.r[:, None]
+    ws = g.work
+    w = ws.quad_w
     u = state.u1.values
     om = state.omega1.values
+    t1, t2, dpz, cfz = ws.kernel[:4]
+
+    def total(x):  # int x dx, with the integrand x * w formed over x
+        return float(np.sum(np.multiply(x, w, out=x)))
+
+    def grad_sq(d_r, d_z):  # int d_r^2 + d_z^2 dx, formed over d_r and d_z
+        np.multiply(d_r, d_r, out=d_r)
+        d_r += np.multiply(d_z, d_z, out=d_z)
+        return total(d_r)
+
     vel = reconstruct_velocity(state)
     vr, vphi, vz = vel.v_r.values, vel.v_phi.values, vel.v_z.values
-    dpz = d_dz(state.psi1).values  # -v_r / r
-    du_z = d_dz(state.u1).values  # -om_r / r
+    np.multiply(vr, vr, out=t1)
+    t1 += np.multiply(vphi, vphi, out=t2)
+    t1 += np.multiply(vz, vz, out=t2)
+    energy = 0.5 * total(t1)
+    dissipation = (
+        _face_grad_sq(vr, g, wall_zero=True)
+        + _face_grad_sq(vphi, g, wall_zero=True)
+        + _face_grad_sq(vz, g, wall_zero=False)
+    )
+    del vel, vr, vphi, vz  # freed before d_dr(omega1) below allocates
+    d_dz_values(state.psi1.values, g.dz, out=dpz)  # -v_r / r
+    np.multiply(dpz, dpz, out=t1)
+    t1 += np.multiply(u, u, out=t2)
+    dissipation += total(t1)
     # v_phi^2 / r = r u1^2 (w in the column table) vanishes at the axis: odd
-    cfz = ScalarField(g, r * u * u, ODD)
-    cfz_dr, cfz_dz = d_dr(cfz).values, d_dz(cfz).values
-    om_dr, om_dz = d_dr(state.omega1).values, d_dz(state.omega1).values
+    np.multiply(ws.r, u, out=cfz)
+    cfz *= u
     sup, q_lhs, q_rhs = _swirl_quartic(g, u)
     inst = {
-        "E": 0.5 * float(np.sum(w * (vr * vr + vphi * vphi + vz * vz))),
-        "D": (
-            _face_grad_sq(vr, g, wall_zero=True)
-            + _face_grad_sq(vphi, g, wall_zero=True)
-            + _face_grad_sq(vz, g, wall_zero=False)
-            + float(np.sum(w * (dpz * dpz + u * u)))
-        ),
+        "E": energy,
+        "D": dissipation,
         "critA": _criterion_a(g, dpz),
         "critB": criterion_B(state),
         "swirl_sup": sup,
-        "cfz_l2": float(np.sum(cfz.values**2 * w)),
-        "cfz_grad": float(np.sum((cfz_dr * cfz_dr + cfz_dz * cfz_dz) * w)),
-        "u1_l4": float(np.sum(u**4 * w)),
-        "phi_l2": float(np.sqrt(np.sum(du_z * du_z * w))),
-        "om1_l2": float(np.sqrt(np.sum(om * om * w))),
-        "om1_grad": float(np.sum((om_dr * om_dr + om_dz * om_dz) * w)),
+        "cfz_l2": total(np.square(cfz, out=t1)),
+        "cfz_grad": grad_sq(
+            d_dr_values(cfz, g.dr, ODD, out=t1), d_dz_values(cfz, g.dz, out=t2)
+        ),
+        "u1_l4": total(np.power(u, 4, out=t1)),
+        # -d_dz(u1) = om_r / r
+        "phi_l2": math.sqrt(total(np.square(d_dz_values(u, g.dz, out=t1), out=t1))),
+        "om1_l2": math.sqrt(total(np.multiply(om, om, out=t1))),
+        # the ScalarField wrapper keeps d_dr a name looked up here, where
+        # perfbench's tracer wraps it; its fresh array is the integrand buffer
+        "om1_grad": grad_sq(d_dr(state.omega1).values, d_dz_values(om, g.dz, out=t2)),
         "ualpha_s": _ualpha_integral(g, u, s, s),
         "quartic_lhs": q_lhs,
         "quartic_rhs": q_rhs,

@@ -58,11 +58,12 @@ class SolverConfig:
             raise ValueError(f"forcing = on needs scenario manufactured, not {self.scenario.name}")
 
 
-def _transport(grid: Grid, f, df_dz, vr, vz, nu: float):
-    """-(v.grad f) + nu lap3(f) on raw arrays, f even."""
-    adv = vr * d_dr_values(f, grid.dr, EVEN)
-    adv += vz * df_dz
-    out = lap3_values(f, grid)
+def _transport(grid: Grid, f, df_dz, vr, vz, nu: float, out, adv, tmp):
+    """-(v.grad f) + nu lap3(f) on raw arrays, f even, written into out;
+    adv and tmp are scratch."""
+    np.multiply(vr, d_dr_values(f, grid.dr, EVEN, out=adv), out=adv)
+    adv += np.multiply(vz, df_dz, out=tmp)
+    lap3_values(f, grid, out=out)
     out *= nu
     out -= adv
     return out
@@ -70,18 +71,26 @@ def _transport(grid: Grid, f, df_dz, vr, vz, nu: float):
 
 def rhs(grid: Grid, u1, om1, psi1, nu: float, t: float, forcing=None):
     """Spatial tendency (du1, dom1) of the raw (nr, nz) node values of the
-    even-parity fields (u1, om1, psi1) at stage time t."""
-    r = grid.r[:, None]
-    dpsi_dz = d_dz_values(psi1, grid.dz)
-    vr = -r * dpsi_dz
-    vz = 2.0 * psi1 + r * d_dr_values(psi1, grid.dr, EVEN)
-    du1_dz = d_dz_values(u1, grid.dz)
-    two_u1 = 2.0 * u1
+    even-parity fields (u1, om1, psi1) at stage time t.
 
-    du1 = _transport(grid, u1, du1_dz, vr, vz, nu)
-    du1 += two_u1 * dpsi_dz
-    dom1 = _transport(grid, om1, d_dz_values(om1, grid.dz), vr, vz, nu)
-    dom1 += two_u1 * du1_dz
+    Every intermediate and both tendencies live in the grid's workspace
+    kernel buffers, so the returned arrays are valid until the next rhs
+    call on that grid (or the next kernel that uses those buffers).
+    """
+    dpsi_dz, vr, vz, du1_dz, two_u1, adv, tmp, du1, dom1 = grid.work.kernel
+    r = grid.work.r
+    d_dz_values(psi1, grid.dz, out=dpsi_dz)
+    np.multiply(-r, dpsi_dz, out=vr)
+    np.multiply(2.0, psi1, out=vz)
+    vz += np.multiply(r, d_dr_values(psi1, grid.dr, EVEN, out=tmp), out=tmp)
+    d_dz_values(u1, grid.dz, out=du1_dz)
+    np.multiply(2.0, u1, out=two_u1)
+
+    _transport(grid, u1, du1_dz, vr, vz, nu, du1, adv, tmp)
+    du1 += np.multiply(two_u1, dpsi_dz, out=tmp)
+    om1_dz = d_dz_values(om1, grid.dz, out=dpsi_dz)  # dpsi_dz is spent
+    _transport(grid, om1, om1_dz, vr, vz, nu, dom1, adv, tmp)
+    dom1 += np.multiply(two_u1, du1_dz, out=tmp)
     if forcing is not None:
         du1 += forcing.f_u(grid, t)
         dom1 += forcing.f_om(grid, t)
@@ -121,25 +130,41 @@ def _vorticity(grid: Grid, u1: np.ndarray, om1: np.ndarray, stage: str) -> Scala
 
 def step(state: State, dt: float, cfg: SolverConfig, forcing=None) -> State:
     """One SSP-RK3 step of size dt; dt must respect stable_dt.  The stages
-    work on raw arrays; only the returned State wraps them."""
+    work on raw arrays in the grid's workspace (rhs's tendencies are scaled
+    in place); only the returned State owns fresh arrays."""
     g = state.grid
     t = state.t
     nu = cfg.nu
     u0, w0 = state.u1.values, state.omega1.values
+    u_s, w_s = g.work.stage  # stage 1, then stage 2 over it
 
     du, dw = rhs(g, u0, w0, state.psi1.values, nu, t, forcing)
-    u_a = u0 + dt * du
-    w_a = w0 + dt * dw
-    p_a = solve_stream(_vorticity(g, u_a, w_a, "stage 1")).values
+    du *= dt
+    dw *= dt
+    np.add(u0, du, out=u_s)
+    np.add(w0, dw, out=w_s)
+    psi = solve_stream(_vorticity(g, u_s, w_s, "stage 1")).values
 
-    du, dw = rhs(g, u_a, w_a, p_a, nu, t + dt, forcing)
-    u_b = 0.75 * u0 + 0.25 * (u_a + dt * du)
-    w_b = 0.75 * w0 + 0.25 * (w_a + dt * dw)
-    p_b = solve_stream(_vorticity(g, u_b, w_b, "stage 2")).values
+    du, dw = rhs(g, u_s, w_s, psi, nu, t + dt, forcing)
+    for x0, xs, dx in ((u0, u_s, du), (w0, w_s, dw)):
+        # x_b = 0.75 x0 + 0.25 (x_a + dt dx), written over x_a
+        dx *= dt
+        dx += xs
+        dx *= 0.25
+        np.multiply(0.75, x0, out=xs)
+        xs += dx
+    psi = solve_stream(_vorticity(g, u_s, w_s, "stage 2")).values
 
-    du, dw = rhs(g, u_b, w_b, p_b, nu, t + 0.5 * dt, forcing)
-    u_n = u0 / 3.0 + (2.0 / 3.0) * (u_b + dt * du)
-    w_n = w0 / 3.0 + (2.0 / 3.0) * (w_b + dt * dw)
+    du, dw = rhs(g, u_s, w_s, psi, nu, t + 0.5 * dt, forcing)
+    del psi  # freed before the last stream solve allocates
+    for xs, dx in ((u_s, du), (w_s, dw)):
+        dx *= dt
+        dx += xs
+        dx *= 2.0 / 3.0
+    u_n = u0 / 3.0
+    u_n += du
+    w_n = w0 / 3.0
+    w_n += dw
     om_n = _vorticity(g, u_n, w_n, "stage 3")
     return State(
         u1=ScalarField(g, u_n, EVEN), omega1=om_n, psi1=solve_stream(om_n), t=t + dt

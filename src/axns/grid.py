@@ -28,6 +28,15 @@ The scalar operator used throughout,
 is the five-dimensional Laplacian acting on r-weighted axisymmetric
 quantities; it is what appears in the diffusion of all three reduced
 fields and in the stream-function equation.
+
+The array stencils (d_dr_values, d_dz_values, d2_dz2_values, lap3_values)
+take raw node values and write into an optional C-contiguous (nr, nz)
+out= array; the ScalarField wrappers (d_dr, d_dz, modified_laplacian)
+always return fresh arrays.  Each Grid carries one Workspace (grid.work):
+scratch (nr, nz) arrays and the per-grid constants of the array kernels,
+built on first use and freed with the grid.  The workspace is
+non-reentrant per grid, and no value lives in it across calls: whatever a
+kernel leaves there is overwritten by the next kernel call on that grid.
 """
 
 from __future__ import annotations
@@ -85,6 +94,11 @@ class Grid:
             band.flags.writeable = False
         return sub, diag, sup
 
+    @cached_property
+    def work(self) -> "Workspace":
+        """Scratch arrays and constants of the array kernels; see Workspace."""
+        return Workspace(self)
+
     @property
     def nr(self) -> int:
         return self.spec.nr
@@ -92,6 +106,45 @@ class Grid:
     @property
     def nz(self) -> int:
         return self.spec.nz
+
+
+class Workspace:
+    """Per-grid scratch (nr, nz) float64 arrays and the constants the array
+    kernels would otherwise rebuild on every call.
+
+    The buffers are grouped by the code that writes them, so that a caller
+    never hands a helper a buffer the helper overwrites:
+
+        leaf    temporaries of the leaf kernels (lap3_values and the
+                diagnostics integrands); a leaf kernel calls no other
+                kernel that uses the workspace
+        kernel  intermediates and results of dynamics.rhs, or of
+                diagnostics.instantaneous (the two never nest)
+        stage   the stage arrays of dynamics.step, which calls rhs
+
+    Non-reentrant: a kernel may overwrite any buffer of its group, and no
+    value lives here across calls.
+    """
+
+    def __init__(self, grid: Grid):
+        shape = (grid.nr, grid.nz)
+        self.r = grid.r[:, None]
+        self.r2 = self.r**2
+        self.quad_w = grid.quad_w[:, None]
+        # radial faces r_{i+1/2}, i = 0 .. nr-2, with weight 2 pi r dr dz
+        r_face = grid.r[:-1] + 0.5 * grid.dr
+        self.face_w = (2.0 * np.pi * r_face * grid.dr * grid.dz)[:, None]
+        self.leaf = tuple(np.empty(shape) for _ in range(3))
+        self.kernel = tuple(np.empty(shape) for _ in range(9))
+        self.stage = tuple(np.empty(shape) for _ in range(2))
+        self._r_powers: dict[float, np.ndarray] = {}
+
+    def r_power(self, exponent: float) -> np.ndarray:
+        """r^exponent as an (nr, 1) column, built once per exponent."""
+        col = self._r_powers.get(exponent)
+        if col is None:
+            col = self._r_powers[exponent] = self.r**exponent
+        return col
 
 
 def make_grid(spec: GridSpec) -> Grid:
@@ -156,11 +209,12 @@ def norm_l2(f: ScalarField) -> float:
     return float(np.sqrt(np.sum(f.values * f.values * f.grid.quad_w[:, None])))
 
 
-def d_dr_values(values: np.ndarray, dr: float, parity: str) -> np.ndarray:
+def d_dr_values(values: np.ndarray, dr: float, parity: str, out=None) -> np.ndarray:
     """Centered radial difference of raw node values; the axis ghost comes
     from the parity, the wall ghost from the Dirichlet extrapolation."""
     axis = values[0] if parity == EVEN else -values[0]
-    out = np.empty(values.shape)
+    if out is None:
+        out = np.empty(values.shape)
     np.subtract(values[2:], values[:-2], out=out[1:-1])
     np.subtract(values[1], axis, out=out[0])
     np.subtract(-values[-1], values[-2], out=out[-1])
@@ -168,14 +222,15 @@ def d_dr_values(values: np.ndarray, dr: float, parity: str) -> np.ndarray:
     return out
 
 
-def d_dz_values(values: np.ndarray, dz: float) -> np.ndarray:
+def d_dz_values(values: np.ndarray, dz: float, out=None) -> np.ndarray:
     """Centered periodic axial difference of raw node values.
 
     Like d2_dz2_values, it runs along the flattened C-ordered array, which
     is right for every column but the two wrap columns, then redoes those.
     """
     v = np.ascontiguousarray(values)
-    out = np.empty(v.shape)
+    if out is None:
+        out = np.empty(v.shape)
     flat, o = v.reshape(-1), out.reshape(-1)
     np.subtract(flat[2:], flat[:-2], out=o[1:-1])
     np.subtract(v[:, 1], v[:, -1], out=out[:, 0])
@@ -184,10 +239,10 @@ def d_dz_values(values: np.ndarray, dz: float) -> np.ndarray:
     return out
 
 
-def d2_dz2_values(values: np.ndarray, dz: float) -> np.ndarray:
+def d2_dz2_values(values: np.ndarray, dz: float, out=None) -> np.ndarray:
     """Periodic axial second difference of raw node values."""
     v = np.ascontiguousarray(values)
-    out = v * -2.0
+    out = np.multiply(v, -2.0, out=out)
     flat, o = v.reshape(-1), out.reshape(-1)
     o[1:-1] += flat[2:]
     o[1:-1] += flat[:-2]
@@ -208,13 +263,15 @@ def d_dz(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, d_dz_values(f.values, f.grid.dz), f.parity)
 
 
-def lap3_values(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """lap3 of the raw node values of an even-parity field."""
+def lap3_values(values: np.ndarray, grid: Grid, out=None) -> np.ndarray:
+    """lap3 of the raw node values of an even-parity field; its one
+    temporary is the grid's first leaf buffer."""
     sub, diag, sup = grid.radial_bands
-    out = diag[:, None] * values
-    out[1:] += sub[1:, None] * values[:-1]
-    out[:-1] += sup[:-1, None] * values[1:]
-    out += d2_dz2_values(values, grid.dz)
+    tmp = grid.work.leaf[0]
+    out = np.multiply(diag[:, None], values, out=out)
+    out[1:] += np.multiply(sub[1:, None], values[:-1], out=tmp[1:])
+    out[:-1] += np.multiply(sup[:-1, None], values[1:], out=tmp[:-1])
+    out += d2_dz2_values(values, grid.dz, out=tmp)
     return out
 
 

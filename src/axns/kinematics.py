@@ -62,14 +62,19 @@ class VelocityFields:
 
 
 def reconstruct_velocity(state: State) -> VelocityFields:
+    """The velocity components, each formed over the fresh array of its
+    stencil, so that only one temporary (2 psi1) is allocated besides."""
     g = state.grid
     r = g.r[:, None]
-    dpsi_dz = d_dz(state.psi1).values
-    dpsi_dr = d_dr(state.psi1).values
+    v_r = d_dz(state.psi1).values
+    v_r *= -r
+    v_z = d_dr(state.psi1).values
+    v_z *= r
+    v_z += 2.0 * state.psi1.values
     return VelocityFields(
-        v_r=ScalarField(g, -r * dpsi_dz, ODD),
+        v_r=ScalarField(g, v_r, ODD),
         v_phi=ScalarField(g, r * state.u1.values, ODD),
-        v_z=ScalarField(g, 2.0 * state.psi1.values + r * dpsi_dr, EVEN),
+        v_z=ScalarField(g, v_z, EVEN),
     )
 
 

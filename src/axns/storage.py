@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import COLUMNS, CriteriaSeries, MonitorRow
-from .grid import EVEN, GridSpec, ScalarField, make_grid
+from .grid import EVEN, Grid, GridSpec, ScalarField, make_grid
 from .kinematics import State
 from .svgplot import emit_plots
 
@@ -77,8 +77,9 @@ def write_snapshot(state: State, path, nu: float) -> None:
     _atomic_write(path, header + body)
 
 
-def read_snapshot(path) -> tuple[State, float]:
-    """Read one snapshot; returns (state, nu)."""
+def read_snapshot(path, grid: Grid | None = None) -> tuple[State, float]:
+    """Read one snapshot; returns (state, nu).  The state lives on grid
+    when the header's GridSpec equals grid.spec, else on a new grid."""
     buf = Path(path).read_bytes()
     if len(buf) < _HEADER.size:
         raise ValueError(f"truncated snapshot {path}: {len(buf)} bytes")
@@ -94,7 +95,9 @@ def read_snapshot(path) -> tuple[State, float]:
         raise ValueError(
             f"snapshot {path} has {len(buf)} bytes, header implies {expect}"
         )
-    grid = make_grid(GridSpec(R=R, Lz=Lz, nr=nr, nz=nz))
+    spec = GridSpec(R=R, Lz=Lz, nr=nr, nz=nz)
+    if grid is None or grid.spec != spec:
+        grid = make_grid(spec)
     # u1, om1, psi1 in turn, each with the radial index varying fastest
     arrays = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).reshape(3, nz, nr)
     try:
@@ -107,7 +110,9 @@ def read_snapshot(path) -> tuple[State, float]:
 def read_snapshot_dir(dirpath) -> Iterator[tuple[State, float]]:
     """Yield (state, nu) for every *.axns file under dirpath, sorted by
     name, reading one file at a time.  Each file is checked as it is read:
-    the sample times must increase and the grid and nu must be uniform."""
+    the sample times must increase and the grid and nu must be uniform.
+    The states of one directory share one Grid, and with it the grid's
+    stream factor and workspace."""
     paths = sorted(Path(dirpath).glob("*.axns"))
     if not paths:
         raise ValueError(f"no snapshot files in {dirpath}")
@@ -116,7 +121,7 @@ def read_snapshot_dir(dirpath) -> Iterator[tuple[State, float]]:
     yield state, nu0
     for path in paths[1:]:
         t_prev = state.t
-        state, nu = read_snapshot(path)
+        state, nu = read_snapshot(path, state.grid)
         if not state.t > t_prev:
             raise ValueError(
                 f"snapshot times not increasing in {dirpath}: {t_prev} then {state.t}"

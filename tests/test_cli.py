@@ -150,6 +150,20 @@ def test_criteria_lpq_matches_trapezoid_of_series(run_dir, tmp_path, capsys):
     assert len(storage.read_series(out_csv)) == 1
 
 
+def test_criteria_lpq_with_p_other_than_s(run_dir, tmp_path, capsys):
+    # p != s: the spatial norm is ualpha_norm's own integral, not the row's
+    out_csv = tmp_path / "offline.csv"
+    argv = ["criteria", "--snapshots", str(run_dir / "snapshots"), "--out", str(out_csv)]
+    assert main(argv + ["--p", "3", "--s", "4"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("lpq_norm of weighted swirl (p=3, q=4, s=4): ")
+    states = [st for st, _ in storage.read_snapshot_dir(run_dir / "snapshots")]
+    norms = [ualpha_norm(st, 4, 3.0) for st in states]
+    want = np.trapezoid(np.power(norms, 4.0), [st.t for st in states]) ** 0.25
+    assert len(states) >= 3
+    assert math.isclose(float(line.rsplit(" ", 1)[1]), want, rel_tol=1e-11)
+
+
 def test_criteria_inf_exponents_take_max_over_snapshots(run_dir, tmp_path, capsys):
     out_csv = tmp_path / "offline.csv"
     argv = ["criteria", "--snapshots", str(run_dir / "snapshots"), "--out", str(out_csv)]

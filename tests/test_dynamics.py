@@ -19,7 +19,7 @@ from axns.grid import (
     zeros_field,
 )
 from axns.kinematics import State, reconstruct_velocity
-from axns.scenarios import Scenario, manufactured_solution
+from axns.scenarios import Scenario, init_scenario, manufactured_solution
 from axns.storage import read_snapshot
 
 
@@ -137,6 +137,43 @@ def test_step_matches_reference_bitwise(grid16x12, forcing):
     assert got.t == want.t
     for name in ("u1", "omega1", "psi1"):
         assert np.array_equal(getattr(got, name).values, getattr(want, name).values)
+
+
+def test_step_result_does_not_alias_the_workspace(grid16, grid16x12):
+    # every step on one grid shares that grid's workspace; the State a step
+    # returns must own its arrays
+    starts = {g: random_state(g, seed=43) for g in (grid16, grid16x12)}
+    cfg = {g: swirl_cfg(g.spec, nu=0.1) for g in starts}
+
+    def fields(st):
+        return b"".join(getattr(st, f).values.tobytes() for f in ("u1", "omega1", "psi1"))
+
+    alone = {}
+    for g, st in starts.items():
+        alone[g] = []
+        for _ in range(3):
+            st = step(st, 1e-3, cfg[g])
+            alone[g].append(fields(st))
+    first = step(starts[grid16], 1e-3, cfg[grid16])
+    kept = fields(first)
+    step(first, 1e-3, cfg[grid16])
+    assert fields(first) == kept
+    current = dict(starts)
+    for i in range(3):
+        for g in starts:
+            current[g] = step(current[g], 1e-3, cfg[g])
+            assert fields(current[g]) == alone[g][i]
+
+
+def test_step_allocates_few_full_size_arrays(grid64, traced_peak):
+    # warmed up: the workspace and the stream factor exist; what is left is
+    # the returned State and the stream solves
+    sc = Scenario(name="gaussian_ring", amplitude=1.0)
+    state = init_scenario(sc, grid64)
+    cfg = swirl_cfg(grid64.spec, nu=0.05)
+    state = step(state, 1e-4, cfg)
+    full = grid64.nr * grid64.nz * 8
+    assert traced_peak(lambda: step(state, 1e-4, cfg)) <= 8 * full
 
 
 @pytest.mark.parametrize(

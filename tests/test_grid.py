@@ -18,10 +18,13 @@ from axns.grid import (
     GridSpec,
     ScalarField,
     d_dr,
+    d_dr_values,
     d2_dz2_values,
     d_dz,
+    d_dz_values,
     field_from_function,
     integrate_volume,
+    lap3_values,
     make_grid,
     modified_laplacian,
     norm_l2,
@@ -264,3 +267,16 @@ def test_z_stencils_match_rolled_form_bitwise(nr, nz):
     want = (up - 2.0 * v + down) / (g.dz * g.dz)
     assert np.array_equal(d2_dz2_values(v, g.dz), want)
     assert np.array_equal(d2_dz2_values(np.asfortranarray(v), g.dz), want)
+    # each array stencil's out= form writes the bytes of its allocating form
+    stencils = (
+        lambda x, out=None: d_dr_values(x, g.dr, EVEN, out=out),
+        lambda x, out=None: d_dr_values(x, g.dr, ODD, out=out),
+        lambda x, out=None: d_dz_values(x, g.dz, out=out),
+        lambda x, out=None: d2_dz2_values(x, g.dz, out=out),
+        lambda x, out=None: lap3_values(x, g, out=out),
+    )
+    for stencil in stencils:
+        for x in (v, np.asfortranarray(v)):
+            out = np.full((nr, nz), np.nan)
+            assert stencil(x, out=out) is out
+            assert out.tobytes() == stencil(x).tobytes()

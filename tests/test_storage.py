@@ -92,6 +92,11 @@ def test_snapshot_dir_ordering_and_checks(grid16, tmp_path, rng):
     out = list(storage.read_snapshot_dir(tmp_path))
     assert [s.t for s, _ in out] == [0.0, 0.1, 0.2]
     assert all(nu == 0.1 for _, nu in out)
+    # one Grid per directory, so its caches are built once
+    assert all(s.grid is out[0][0].grid for s, _ in out)
+    assert storage.read_snapshot(tmp_path / "snap_000001.axns", grid16)[0].grid is grid16
+    other = make_grid(GridSpec(R=1.0, Lz=2.0, nr=16, nz=16))
+    assert storage.read_snapshot(tmp_path / "snap_000001.axns", other)[0].grid.spec == grid16.spec
     # a stray later file with earlier time breaks monotonicity
     storage.write_snapshot(
         make_state(grid16, rng, t=0.05), tmp_path / "snap_000009.axns", nu=0.1
