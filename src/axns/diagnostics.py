@@ -167,7 +167,7 @@ def _ualpha_integral(g: Grid, u: np.ndarray, s: int, p: float) -> float:
     r^((2s - 3) p / s) |u1|^p; the exponent is exactly 2s - 3 when p = s."""
     ws = g.work
     t = np.power(np.abs(u, out=ws.leaf[0]), p, out=ws.leaf[0])
-    np.multiply(ws.r_power((2.0 * s - 3.0) * p / s), t, out=t)
+    np.multiply(ws.r ** ((2.0 * s - 3.0) * p / s), t, out=t)
     return float(np.sum(np.multiply(t, ws.quad_w, out=t)))
 
 

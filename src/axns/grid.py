@@ -118,8 +118,9 @@ class Workspace:
         leaf    temporaries of the leaf kernels (lap3_values and the
                 diagnostics integrands); a leaf kernel calls no other
                 kernel that uses the workspace
-        kernel  intermediates and results of dynamics.rhs, or of
-                diagnostics.instantaneous (the two never nest)
+        kernel  intermediates and results of dynamics.rhs, of
+                dynamics.stable_dt or of diagnostics.instantaneous
+                (no two of them nest)
         stage   the stage arrays of dynamics.step, which calls rhs
 
     Non-reentrant: a kernel may overwrite any buffer of its group, and no
@@ -137,14 +138,6 @@ class Workspace:
         self.leaf = tuple(np.empty(shape) for _ in range(3))
         self.kernel = tuple(np.empty(shape) for _ in range(9))
         self.stage = tuple(np.empty(shape) for _ in range(2))
-        self._r_powers: dict[float, np.ndarray] = {}
-
-    def r_power(self, exponent: float) -> np.ndarray:
-        """r^exponent as an (nr, 1) column, built once per exponent."""
-        col = self._r_powers.get(exponent)
-        if col is None:
-            col = self._r_powers[exponent] = self.r**exponent
-        return col
 
 
 def make_grid(spec: GridSpec) -> Grid:

@@ -13,10 +13,11 @@ recovered as
     v_phi =  r u1                    (odd)
     v_z   =  2 psi1 + r d_dr(psi1)   (even)
 
-and the vorticity as om_phi = r om1.  Quantities that carry a 1/r weight
-are always formed from the reduced variables (v_r / r = -d_dz(psi1),
-v_phi / r = u1, ...), so nothing divides by r except divergence_residual,
-whose v_r carries an exact factor r.
+and the vorticity as om_phi = r om1.  velocity_values is the one place
+that forms v_r and v_z, for the stepper and reconstruct_velocity alike.
+Quantities that carry a 1/r weight are always formed from the reduced
+variables (v_r / r = -d_dz(psi1), v_phi / r = u1, ...), so nothing divides
+by r except divergence_residual, whose v_r carries an exact factor r.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import EVEN, ODD, Grid, ScalarField, d_dr, d_dz, norm_l2
+from .grid import EVEN, ODD, Grid, ScalarField, d_dr, d_dr_values, d_dz, d_dz_values, norm_l2
 
 
 @dataclass(eq=False)
@@ -61,19 +62,28 @@ class VelocityFields:
     v_z: ScalarField
 
 
+def velocity_values(grid: Grid, psi1, dpsi_dz, v_r, v_z) -> None:
+    """d_dz(psi1), v_r and v_z of raw psi1 node values, written into the
+    caller's arrays; dpsi_dz may be v_r, none may be psi1.  v_r holds
+    r d_dr(psi1) until v_z is formed, so nothing else is allocated."""
+    r = grid.work.r
+    np.multiply(r, d_dr_values(psi1, grid.dr, EVEN, out=v_r), out=v_r)
+    np.multiply(2.0, psi1, out=v_z)
+    v_z += v_r
+    d_dz_values(psi1, grid.dz, out=dpsi_dz)
+    np.multiply(-r, dpsi_dz, out=v_r)
+
+
 def reconstruct_velocity(state: State) -> VelocityFields:
-    """The velocity components, each formed over the fresh array of its
-    stencil, so that only one temporary (2 psi1) is allocated besides."""
+    """The velocity components over fresh arrays; d_dz(psi1) is formed in
+    v_r's array, so only v_phi = r u1 is allocated besides."""
     g = state.grid
-    r = g.r[:, None]
-    v_r = d_dz(state.psi1).values
-    v_r *= -r
-    v_z = d_dr(state.psi1).values
-    v_z *= r
-    v_z += 2.0 * state.psi1.values
+    v_r = np.empty((g.nr, g.nz))
+    v_z = np.empty((g.nr, g.nz))
+    velocity_values(g, state.psi1.values, v_r, v_r, v_z)
     return VelocityFields(
         v_r=ScalarField(g, v_r, ODD),
-        v_phi=ScalarField(g, r * state.u1.values, ODD),
+        v_phi=ScalarField(g, g.work.r * state.u1.values, ODD),
         v_z=ScalarField(g, v_z, EVEN),
     )
 

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import SolverConfig, run, stable_dt, step
+from .dynamics import SolverConfig, diffusive_dt, run, stable_dt, step
 from .elliptic import mode_rows, solve_stream, stream_residual
 from .grid import (
     EVEN,
@@ -201,8 +201,7 @@ def dynamics_temporal_study(
     cfg.validate()
     grid = make_grid(cfg.grid)
     forcing = manufactured_solution(cfg.grid, nu, cfg.scenario)
-    h2 = grid.dr**2 * grid.dz**2 / (grid.dr**2 + grid.dz**2)
-    n0 = max(4, math.ceil(t_end / (0.8 * h2 / (2.0 * nu))))
+    n0 = max(4, math.ceil(t_end / (0.8 * diffusive_dt(grid, nu))))
 
     def integrate(nsteps: int) -> State:
         state = init_scenario(cfg.scenario, grid)

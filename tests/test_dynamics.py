@@ -176,6 +176,17 @@ def test_step_allocates_few_full_size_arrays(grid64, traced_peak):
     assert traced_peak(lambda: step(state, 1e-4, cfg)) <= 8 * full
 
 
+def test_stable_dt_allocates_no_full_size_temporaries(grid64, traced_peak):
+    # warmed up: v_r and v_z live in the workspace; what is left is numpy's
+    # buffer for the broadcast r column, about one full-size array
+    state = init_scenario(Scenario(name="gaussian_ring", amplitude=1.0), grid64)
+    cfg = swirl_cfg(grid64.spec, nu=0.05)
+    dt = stable_dt(state, cfg)
+    full = grid64.nr * grid64.nz * 8
+    assert traced_peak(lambda: stable_dt(state, cfg)) <= 1.5 * full
+    assert stable_dt(state, cfg) == dt
+
+
 @pytest.mark.parametrize(
     "kw",
     [

@@ -19,7 +19,12 @@ from axns.grid import (
     norm_l2,
     zeros_field,
 )
-from axns.kinematics import State, divergence_residual, reconstruct_velocity
+from axns.kinematics import (
+    State,
+    divergence_residual,
+    reconstruct_velocity,
+    velocity_values,
+)
 from axns.studies import bump_field, random_bump_terms
 
 
@@ -93,6 +98,24 @@ def test_single_mode_stream(grid64):
     assert np.allclose(vel.v_r.values, want, atol=1e-13)
     cont = -rr * k * np.cos(k * zz) * a(rr)
     assert np.max(np.abs(vel.v_r.values - cont)) < 0.7 * (k * grid64.dz) ** 2
+
+
+def test_velocity_values_aliased_output_is_byte_equal(rng):
+    # dpsi_dz aliased to v_r (as reconstruct_velocity passes it) changes no
+    # bit of v_r or v_z, and both match the formulas written out by hand
+    g = make_grid(GridSpec(R=1.0, Lz=1.3, nr=16, nz=12))
+    psi = ScalarField(g, rng.standard_normal((g.nr, g.nz)), EVEN)
+    state = make_state(g, psi1=psi)
+    dpz, v_r, v_z, a_r, a_z = (np.empty((g.nr, g.nz)) for _ in range(5))
+    velocity_values(g, psi.values, dpz, v_r, v_z)
+    velocity_values(g, psi.values, a_r, a_r, a_z)
+    vel = reconstruct_velocity(state)
+    r = g.r[:, None]
+    assert dpz.tobytes() == d_dz(psi).values.tobytes()
+    for got in (a_r, vel.v_r.values, -r * d_dz(psi).values):
+        assert got.tobytes() == v_r.tobytes()
+    for got in (a_z, vel.v_z.values, 2.0 * psi.values + r * d_dr(psi).values):
+        assert got.tobytes() == v_z.tobytes()
 
 
 def test_divergence_zero_cases(grid16):
