@@ -89,8 +89,8 @@ def rhs(grid: Grid, u1, om1, psi1, nu: float, t: float, forcing=None):
     _transport(grid, om1, om1_dz, vr, vz, nu, dom1, adv, tmp)
     dom1 += np.multiply(two_u1, du1_dz, out=tmp)
     if forcing is not None:
-        du1 += forcing.f_u(grid, t)
-        dom1 += forcing.f_om(grid, t)
+        du1 += forcing.f_u(t)
+        dom1 += forcing.f_om(t)
     return du1, dom1
 
 
@@ -118,54 +118,55 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
     return min(dt, cfg.t_end - state.t)
 
 
-def _vorticity(grid: Grid, u1: np.ndarray, om1: np.ndarray, stage: str) -> ScalarField:
-    """A stage's om1 as the stream solve's source, once (u1, om1) are finite."""
-    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(om1))):
-        raise BlowUpError(f"non-finite fields after {stage}")
-    return ScalarField(grid, om1, EVEN)
-
-
 def step(state: State, dt: float, cfg: SolverConfig, forcing=None) -> State:
     """One SSP-RK3 step of size dt; dt must respect stable_dt.  The stages
     work on raw arrays in the grid's workspace (rhs's tendencies are scaled
-    in place); only the returned State owns fresh arrays."""
+    in place); only the returned State owns fresh arrays.  solve_stream's
+    check of each stage's om1 and State's check of the result are the
+    step's finiteness checks, re-raised as BlowUpError: a non-finite u1
+    reaches om1 through 2 u1 d_dz(u1) at the next stage."""
     g = state.grid
+    if forcing is not None and forcing.grid is not g:
+        raise ValueError("step: the forcing was sampled on another grid")
     t = state.t
     nu = cfg.nu
     u0, w0 = state.u1.values, state.omega1.values
     u_s, w_s = g.work.stage  # stage 1, then stage 2 over it
 
-    du, dw = rhs(g, u0, w0, state.psi1.values, nu, t, forcing)
-    du *= dt
-    dw *= dt
-    np.add(u0, du, out=u_s)
-    np.add(w0, dw, out=w_s)
-    psi = solve_stream(_vorticity(g, u_s, w_s, "stage 1")).values
+    try:
+        du, dw = rhs(g, u0, w0, state.psi1.values, nu, t, forcing)
+        du *= dt
+        dw *= dt
+        np.add(u0, du, out=u_s)
+        np.add(w0, dw, out=w_s)
+        psi = solve_stream(ScalarField(g, w_s, EVEN)).values
 
-    du, dw = rhs(g, u_s, w_s, psi, nu, t + dt, forcing)
-    for x0, xs, dx in ((u0, u_s, du), (w0, w_s, dw)):
-        # x_b = 0.75 x0 + 0.25 (x_a + dt dx), written over x_a
-        dx *= dt
-        dx += xs
-        dx *= 0.25
-        np.multiply(0.75, x0, out=xs)
-        xs += dx
-    psi = solve_stream(_vorticity(g, u_s, w_s, "stage 2")).values
+        du, dw = rhs(g, u_s, w_s, psi, nu, t + dt, forcing)
+        for x0, xs, dx in ((u0, u_s, du), (w0, w_s, dw)):
+            # x_b = 0.75 x0 + 0.25 (x_a + dt dx), written over x_a
+            dx *= dt
+            dx += xs
+            dx *= 0.25
+            np.multiply(0.75, x0, out=xs)
+            xs += dx
+        psi = solve_stream(ScalarField(g, w_s, EVEN)).values
 
-    du, dw = rhs(g, u_s, w_s, psi, nu, t + 0.5 * dt, forcing)
-    del psi  # freed before the last stream solve allocates
-    for xs, dx in ((u_s, du), (w_s, dw)):
-        dx *= dt
-        dx += xs
-        dx *= 2.0 / 3.0
-    u_n = u0 / 3.0
-    u_n += du
-    w_n = w0 / 3.0
-    w_n += dw
-    om_n = _vorticity(g, u_n, w_n, "stage 3")
-    return State(
-        u1=ScalarField(g, u_n, EVEN), omega1=om_n, psi1=solve_stream(om_n), t=t + dt
-    )
+        du, dw = rhs(g, u_s, w_s, psi, nu, t + 0.5 * dt, forcing)
+        del psi  # freed before the last stream solve allocates
+        for xs, dx in ((u_s, du), (w_s, dw)):
+            dx *= dt
+            dx += xs
+            dx *= 2.0 / 3.0
+        u_n = u0 / 3.0
+        u_n += du
+        w_n = w0 / 3.0
+        w_n += dw
+        om_n = ScalarField(g, w_n, EVEN)
+        return State(
+            u1=ScalarField(g, u_n, EVEN), omega1=om_n, psi1=solve_stream(om_n), t=t + dt
+        )
+    except ValueError as err:
+        raise BlowUpError(f"non-finite fields in the step from t = {t}: {err}") from err
 
 
 def run(cfg: SolverConfig, out_dir: str | None = None):
@@ -184,7 +185,7 @@ def run(cfg: SolverConfig, out_dir: str | None = None):
     grid = make_grid(cfg.grid)
     forcing = None
     if cfg.forcing_enabled:
-        forcing = manufactured_solution(cfg.grid, cfg.nu, cfg.scenario)
+        forcing = manufactured_solution(grid, cfg.nu, cfg.scenario)
     state = init_scenario(cfg.scenario, grid)
     series = diagnostics.CriteriaSeries(nu=cfg.nu, s=cfg.s)
 

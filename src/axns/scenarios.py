@@ -28,15 +28,14 @@ axial mode (see manufactured_solution).
 
 Every field and forcing term is time-separable, sum_m exp(-m t) F_m(r, z)
 with m in {1, 2}: the fields decay like exp(-t), and advection and
-stretching are quadratic in them.  All factors F_m are sampled once per
-grid, so evaluating the forcing at a stage time costs two scalar
-exponentials and two array updates.
+stretching are quadratic in them.  All factors F_m are sampled once, on
+the grid the solution is built for, so evaluating the forcing at a stage
+time costs two scalar exponentials and two array updates.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,9 +96,9 @@ def init_scenario(scenario: Scenario, grid: Grid) -> State:
         om1 = ScalarField(grid, vals.copy(), EVEN)
     elif name == "manufactured":
         # nu enters only the forcing, which is not read here
-        man = manufactured_solution(grid.spec, nu=1.0, scenario=scenario)
-        u1 = ScalarField(grid, man.u1(grid, 0.0), EVEN)
-        om1 = ScalarField(grid, man.om1(grid, 0.0), EVEN)
+        man = manufactured_solution(grid, nu=1.0, scenario=scenario)
+        u1 = ScalarField(grid, man.u1(0.0), EVEN)
+        om1 = ScalarField(grid, man.om1(0.0), EVEN)
     else:  # pragma: no cover - validate() already rejected
         raise ValueError(f"unknown scenario {name!r}")
     psi1 = solve_stream(om1)
@@ -107,50 +106,40 @@ def init_scenario(scenario: Scenario, grid: Grid) -> State:
 
 
 class ManufacturedSolution:
-    """Closed-form fields and forcing on one cylinder (R, Lz).
+    """Closed-form fields and forcing, sampled on one grid.
 
     Every key has the form sum_m exp(-m t) F_m(r, z), m = 1, 2.  All
-    factors of all keys are sampled together on a grid's first use, so an
-    evaluation costs one scalar exp and one axpy per mode.
+    factors of all keys are sampled on .grid when the solution is built,
+    so an evaluation costs one scalar exp and one axpy per mode.
     """
 
-    def __init__(self, R: float, Lz: float, factors):
-        self.R, self.Lz = R, Lz
-        self._factors_at = factors  # (r column, z row) -> {key: [F_1, ...]}
-        self._sampled: "weakref.WeakKeyDictionary[Grid, dict]" = weakref.WeakKeyDictionary()
+    def __init__(self, grid: Grid, factors: dict):
+        self.grid = grid
+        self._factors = factors  # key -> [F_1, F_2, ...] sampled on grid
 
-    def _eval(self, key: str, grid: Grid, t: float) -> np.ndarray:
-        if (grid.spec.R, grid.spec.Lz) != (self.R, self.Lz):
-            raise ValueError(
-                f"manufactured solution was built for R = {self.R}, Lz = {self.Lz}; "
-                f"grid has R = {grid.spec.R}, Lz = {grid.spec.Lz}"
-            )
-        if grid not in self._sampled:
-            self._sampled[grid] = self._factors_at(grid.r[:, None], grid.z[None, :])
-        first, *rest = self._sampled[grid][key]
+    def _eval(self, key: str, t: float) -> np.ndarray:
+        first, *rest = self._factors[key]
         out = math.exp(-t) * first
         for m, factor in enumerate(rest, start=2):
             out += math.exp(-m * t) * factor
         return out
 
-    def u1(self, grid: Grid, t: float) -> np.ndarray:
-        return self._eval("u1", grid, t)
+    def u1(self, t: float) -> np.ndarray:
+        return self._eval("u1", t)
 
-    def om1(self, grid: Grid, t: float) -> np.ndarray:
-        return self._eval("om1", grid, t)
+    def om1(self, t: float) -> np.ndarray:
+        return self._eval("om1", t)
 
-    def f_u(self, grid: Grid, t: float) -> np.ndarray:
-        return self._eval("f_u", grid, t)
+    def f_u(self, t: float) -> np.ndarray:
+        return self._eval("f_u", t)
 
-    def f_om(self, grid: Grid, t: float) -> np.ndarray:
-        return self._eval("f_om", grid, t)
+    def f_om(self, t: float) -> np.ndarray:
+        return self._eval("f_om", t)
 
 
-def manufactured_solution(
-    spec: GridSpec, nu: float, scenario: Scenario | None = None
-) -> ManufacturedSolution:
+def manufactured_solution(grid: Grid, nu: float, scenario: Scenario) -> ManufacturedSolution:
     """Closed forms of the fields and of the forcing, as polynomials in r
-    times sines and cosines of kz = 2 pi k z / Lz.
+    times sines and cosines of kz = 2 pi k z / Lz, sampled on grid.
 
     With a = exp(-t) and s = 1 - (r/R)^2 the fields are
 
@@ -168,10 +157,8 @@ def manufactured_solution(
     F_1 = -f - nu lap3(f).  Advection and stretching are quadratic: the mode
     F_2 = v_r d_r f + v_z d_z f - stretching, per a^2, written term by term.
     """
-    if scenario is None:
-        scenario = Scenario(name="manufactured")
     A = float(scenario.amplitude)
-    R, Lz = float(spec.R), float(spec.Lz)
+    R, Lz = float(grid.spec.R), float(grid.spec.Lz)
     kappa = 2.0 * np.pi * int(scenario.mode_k) / Lz
 
     x = Polynomial([0.0, 1.0])
@@ -191,24 +178,23 @@ def manufactured_solution(
         # radial part of -f - nu lap3(f) for f = p(r) times one z mode
         return -p - nu * (lap_r(p) - kappa**2 * p)
 
-    def factors(r: np.ndarray, z: np.ndarray) -> dict:
-        c, sn = np.cos(kappa * z), np.sin(kappa * z)
-        c7, s7 = np.cos(kappa * z + 0.7), np.sin(kappa * z + 0.7)
-        f_u2 = (
-            (Vr * U.deriv())(r) * (sn * c7)
-            - kappa * (Vz * U)(r) * (c * s7)
-            + 2.0 * kappa * (U * Psi)(r) * (c7 * sn)  # -2 u1 d_z psi1
-        )
-        f_om2 = (
-            (Vr * Om.deriv())(r) * (sn * c)
-            - kappa * (Vz * Om)(r) * (c * sn)
-            + 2.0 * kappa * (U * U)(r) * (c7 * s7)  # -2 u1 d_z u1
-        )
-        return {
-            "u1": [U(r) * c7],
-            "om1": [Om(r) * c],
-            "f_u": [decay(U)(r) * c7, f_u2],
-            "f_om": [decay(Om)(r) * c, f_om2],
-        }
-
-    return ManufacturedSolution(R, Lz, factors)
+    r, z = grid.r[:, None], grid.z[None, :]
+    c, sn = np.cos(kappa * z), np.sin(kappa * z)
+    c7, s7 = np.cos(kappa * z + 0.7), np.sin(kappa * z + 0.7)
+    f_u2 = (
+        (Vr * U.deriv())(r) * (sn * c7)
+        - kappa * (Vz * U)(r) * (c * s7)
+        + 2.0 * kappa * (U * Psi)(r) * (c7 * sn)  # -2 u1 d_z psi1
+    )
+    f_om2 = (
+        (Vr * Om.deriv())(r) * (sn * c)
+        - kappa * (Vz * Om)(r) * (c * sn)
+        + 2.0 * kappa * (U * U)(r) * (c7 * s7)  # -2 u1 d_z u1
+    )
+    factors = {
+        "u1": [U(r) * c7],
+        "om1": [Om(r) * c],
+        "f_u": [decay(U)(r) * c7, f_u2],
+        "f_om": [decay(Om)(r) * c, f_om2],
+    }
+    return ManufacturedSolution(grid, factors)

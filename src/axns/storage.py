@@ -22,8 +22,9 @@ exactly.
 All writes, plots included, land in a uniquely named temporary file next
 to the target and are renamed into place, so a crash never leaves a
 partial file under the final name and two writers to one path never share
-a temporary file.  Snapshots with a non-finite t, nu or field value are
-refused with an error that names the file.
+a temporary file.  Snapshots with a non-finite t, nu or field value, or
+with a header grid that make_grid rejects, are refused with an error that
+names the file.
 """
 
 from __future__ import annotations
@@ -96,11 +97,11 @@ def read_snapshot(path, grid: Grid | None = None) -> tuple[State, float]:
             f"snapshot {path} has {len(buf)} bytes, header implies {expect}"
         )
     spec = GridSpec(R=R, Lz=Lz, nr=nr, nz=nz)
-    if grid is None or grid.spec != spec:
-        grid = make_grid(spec)
-    # u1, om1, psi1 in turn, each with the radial index varying fastest
-    arrays = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).reshape(3, nz, nr)
     try:
+        if grid is None or grid.spec != spec:
+            grid = make_grid(spec)
+        # u1, om1, psi1 in turn, each with the radial index varying fastest
+        arrays = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).reshape(3, nz, nr)
         state = State(*(ScalarField(grid, a.T.copy(), EVEN) for a in arrays), t=t)
     except ValueError as err:
         raise ValueError(f"snapshot {path}: {err}") from None

@@ -31,18 +31,18 @@ from .kinematics import State, divergence_residual, reconstruct_velocity
 from .scenarios import Scenario, init_scenario, manufactured_solution
 
 
-def observed_order(errors, refine: float = 2.0) -> list[float]:
-    """Convergence orders log(e_k / e_{k+1}) / log(refine)."""
+def observed_order(errors) -> list[float]:
+    """Convergence orders log2(e_k / e_{k+1}) of successive halvings."""
     errs = list(errors)
     if len(errs) < 2:
         raise ValueError("observed_order: need at least 2 error values")
     if any(not (e > 0) for e in errs):
         raise ValueError("observed_order: errors must be positive")
-    return [math.log(a / b) / math.log(refine) for a, b in zip(errs, errs[1:])]
+    return [math.log(a / b) / math.log(2.0) for a, b in zip(errs, errs[1:])]
 
 
-def elliptic_study(levels=(32, 64, 128), R: float = 1.0, Lz: float = 1.0):
-    """Stream-solve recovery of the closed-form pair
+def elliptic_study(levels=(32, 64, 128)):
+    """Stream-solve recovery of the closed-form pair on R = Lz = 1
 
         psi* = (R^2 - r^2)^2 cos(2 pi z / Lz)
         om*  = (16 R^2 - 24 r^2 + kap^2 (R^2 - r^2)^2) cos(kap z)
@@ -50,6 +50,7 @@ def elliptic_study(levels=(32, 64, 128), R: float = 1.0, Lz: float = 1.0):
     (om* is -lap3(psi*) by hand).  Returns (rel_errors, rel_residuals),
     one entry per level.
     """
+    R, Lz = 1.0, 1.0
     kap = 2.0 * np.pi / Lz
     errors, residuals = [], []
     for n in levels:
@@ -84,14 +85,13 @@ def _sum_bumps(terms, grid: Grid) -> np.ndarray:
 def random_bump_terms(
     rng: np.random.Generator,
     R: float,
-    n_terms: int = 2,
     rho_range=(0.2, 0.6),
     w_range=(0.12, 0.25),
     k_range=(0, 3),
 ):
-    """Draw grid-independent parameters for a sum of bump-mode terms."""
+    """Draw grid-independent parameters for a sum of two bump-mode terms."""
     terms = []
-    for _ in range(n_terms):
+    for _ in range(2):
         amp = float(rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0)))
         rho = float(rng.uniform(*rho_range) * R)
         w = float(rng.uniform(*w_range) * R)
@@ -101,26 +101,25 @@ def random_bump_terms(
     return tuple(terms)
 
 
-def bump_field(terms, grid: Grid, parity: str = EVEN) -> ScalarField:
-    return ScalarField(grid, _sum_bumps(terms, grid), parity)
+def bump_field(terms, grid: Grid) -> ScalarField:
+    return ScalarField(grid, _sum_bumps(terms, grid), EVEN)
 
 
-def divergence_study(levels=(64, 128, 256), seed: int = 7, n_fields: int = 4):
-    """Divergence residual of velocities reconstructed from random smooth
-    stream functions, per level.  The bumps sit well away from the wall
-    (rho <= 0.3 R, w <= 0.15 R) so the Dirichlet ring sees only their
-    exponentially small tails.  Returns root-mean-square residuals.
+def divergence_study():
+    """Divergence residual of velocities reconstructed from four random
+    smooth stream functions, at 64^2, 128^2 and 256^2.  The bumps sit well
+    away from the wall (rho <= 0.3 R, w <= 0.15 R) so the Dirichlet ring
+    sees only their exponentially small tails.  Returns root-mean-square
+    residuals.
     """
-    rng = np.random.default_rng(seed)
-    R, Lz = 1.0, 1.0
+    rng = np.random.default_rng(7)
+    R, Lz, n_fields = 1.0, 1.0, 4
     ensembles = [
-        random_bump_terms(
-            rng, R, n_terms=2, rho_range=(0.15, 0.3), w_range=(0.1, 0.15), k_range=(3, 4)
-        )
+        random_bump_terms(rng, R, rho_range=(0.15, 0.3), w_range=(0.1, 0.15), k_range=(3, 4))
         for _ in range(n_fields)
     ]
     out = []
-    for n in levels:
+    for n in (64, 128, 256):
         grid = make_grid(GridSpec(R=R, Lz=Lz, nr=n, nz=n))
         total = 0.0
         for terms in ensembles:
@@ -173,34 +172,33 @@ def _mms_config(n: int, nu: float, t_end: float, cfl: float) -> SolverConfig:
     )
 
 
-def dynamics_spatial_study(
-    levels=(32, 64, 128), nu: float = 0.1, t_end: float = 0.25, cfl: float = 0.4
-):
-    """Forced-run recovery of the manufactured fields at t_end, one error
-    per level.  The adaptive step is diffusion-limited (dt ~ h^2), so the
-    temporal error rides far below the spatial one."""
+def dynamics_spatial_study():
+    """Forced-run recovery of the manufactured fields at t_end = 0.25,
+    nu = 0.1, one error per level at 32^2, 64^2 and 128^2.  The adaptive
+    step is diffusion-limited (dt ~ h^2), so the temporal error rides far
+    below the spatial one."""
+    nu = 0.1
     errors = []
-    for n in levels:
-        cfg = _mms_config(n, nu, t_end, cfl)
+    for n in (32, 64, 128):
+        cfg = _mms_config(n, nu, t_end=0.25, cfl=0.4)
         final, _ = run(cfg)
-        grid = final.grid
-        man = manufactured_solution(cfg.grid, nu, cfg.scenario)
-        errors.append(_field_error(final, man.u1(grid, final.t), man.om1(grid, final.t)))
+        man = manufactured_solution(final.grid, nu, cfg.scenario)
+        errors.append(_field_error(final, man.u1(final.t), man.om1(final.t)))
     return errors
 
 
-def dynamics_temporal_study(
-    n: int = 32, nu: float = 0.05, t_end: float = 0.1, n_refine: int = 3
-):
-    """Errors of fixed-step integration at dt, dt/2, ... against a dt/16
-    reference on the same grid, so the common spatial error cancels and
-    the step-size order stands alone.  The base step sits at 0.8 of the
-    diffusive limit: large enough that even the dt/4 error is far above
-    the roundoff floor, small enough for a stable three-stage step."""
-    cfg = _mms_config(n, nu, t_end, cfl=0.8)
+def dynamics_temporal_study():
+    """Errors of fixed-step integration at dt, dt/2 and dt/4 against a dt/16
+    reference on one 32^2 grid (nu = 0.05, t_end = 0.1), so the common
+    spatial error cancels and the step-size order stands alone.  The base
+    step sits at 0.8 of the diffusive limit: large enough that even the
+    dt/4 error is far above the roundoff floor, small enough for a stable
+    three-stage step."""
+    nu, t_end = 0.05, 0.1
+    cfg = _mms_config(32, nu, t_end, cfl=0.8)
     cfg.validate()
     grid = make_grid(cfg.grid)
-    forcing = manufactured_solution(cfg.grid, nu, cfg.scenario)
+    forcing = manufactured_solution(grid, nu, cfg.scenario)
     n0 = max(4, math.ceil(t_end / (0.8 * diffusive_dt(grid, nu))))
 
     def integrate(nsteps: int) -> State:
@@ -212,7 +210,7 @@ def dynamics_temporal_study(
 
     ref = integrate(n0 * 16)
     errors = []
-    for j in range(n_refine):
+    for j in range(3):
         final = integrate(n0 * 2**j)
         errors.append(_field_error(final, ref.u1.values, ref.omega1.values))
     return errors
@@ -241,40 +239,34 @@ def self_convergence_study(cfg: SolverConfig, n_levels: int = 3) -> list[float]:
     ]
 
 
-def swirl_decay_error(
-    nu: float = 0.1,
-    t_end: float = 0.5,
-    eps: float = 1e-6,
-    nr: int = 64,
-    nz: int = 128,
-    R: float = 2.0,
-    Lz: float = 1.0,
-) -> float:
-    """Relative error of the slowest swirl mode against exp(-nu kap^2 t).
+def swirl_decay_error() -> float:
+    """Relative error of the slowest swirl mode against exp(-nu kap^2 t) at
+    t = 0.5, nu = 0.1, on a 64 x 128 grid over R = 2, Lz = 1.
 
-    Initial data u1 = eps cos(kap z), uniform in r: at this amplitude the
-    quadratic couplings are O(eps^2) and the mode decays diffusively.
-    The decay factor is measured by projecting onto cos(kap z) over the
-    core r <= R/4, far from the wall ring.
+    Initial data u1 = eps cos(kap z), eps = 1e-6, uniform in r: at this
+    amplitude the quadratic couplings are O(eps^2) and the mode decays
+    diffusively.  The decay factor is measured by projecting onto
+    cos(kap z) over the core r <= R/4, far from the wall ring.
     """
+    nu, t_end, eps = 0.1, 0.5, 1e-6
     cfg = SolverConfig(
         nu=nu,
         cfl=0.5,
         t_end=t_end,
-        grid=GridSpec(R=R, Lz=Lz, nr=nr, nz=nz),
+        grid=GridSpec(R=2.0, Lz=1.0, nr=64, nz=128),
         scenario=Scenario(name="zero"),
         output_every=10_000_000,
     )
     cfg.validate()
     grid = make_grid(cfg.grid)
-    kap = 2.0 * np.pi / Lz
+    kap = 2.0 * np.pi / grid.spec.Lz
     u1 = field_from_function(grid, lambda r, z: eps * np.cos(kap * z) + 0.0 * r, EVEN)
     state = State(u1=u1, omega1=zeros_field(grid), psi1=zeros_field(grid), t=0.0)
 
     while state.t < t_end * (1.0 - 1e-12):
         state = step(state, stable_dt(state, cfg), cfg)
 
-    core = grid.r <= R / 4.0
+    core = grid.r <= grid.spec.R / 4.0
     coeff = 2.0 * np.mean(state.u1.values[core] * np.cos(kap * grid.z)[None, :], axis=1)
     measured = float(np.mean(coeff))
     expect = eps * math.exp(-nu * kap * kap * t_end)

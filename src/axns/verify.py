@@ -73,12 +73,12 @@ def acceptance_scenario(name: str) -> Scenario:
 
 
 @cache
-def acceptance_run(name: str, nu: float, n: int = 64):
+def acceptance_run(name: str, nu: float):
     cfg = SolverConfig(
         nu=nu,
         cfl=0.5,
         t_end=1.0,
-        grid=GridSpec(R=1.0, Lz=1.0, nr=n, nz=n),
+        grid=GridSpec(R=1.0, Lz=1.0, nr=64, nz=64),
         scenario=acceptance_scenario(name),
         output_every=5,
     )

@@ -66,8 +66,8 @@ def reference_rhs(state, nu, t, forcing=None):
         + 2.0 * u1.values * d_dz(u1).values
     )
     if forcing is not None:
-        du1 += forcing.f_u(g, t)
-        dom1 += forcing.f_om(g, t)
+        du1 += forcing.f_u(t)
+        dom1 += forcing.f_om(t)
     return du1, dom1
 
 
@@ -116,7 +116,7 @@ def forcing(request, grid16x12):
     if request.param == "unforced":
         return None
     sc = Scenario(name="manufactured", amplitude=0.7, mode_k=1)
-    return manufactured_solution(grid16x12.spec, nu=0.1, scenario=sc)
+    return manufactured_solution(grid16x12, nu=0.1, scenario=sc)
 
 
 def test_rhs_matches_reference_bitwise(grid16x12, forcing):
@@ -320,6 +320,25 @@ def test_step_blowup_detection(grid16):
     )
     with np.errstate(over="ignore"), pytest.raises(BlowUpError):
         step(make_state(grid16, u1=huge, om1=huge), 1.0, cfg)
+
+
+# the step scans only om1 at each stage: a u1 that overflows at stage 1
+# (A = 1e307) must reach om1 through 2 u1 d_dz(u1) at stage 2, and one that
+# overflows only at stage 3 (A = 1e305) is caught by the returned State
+@pytest.mark.parametrize("amplitude", [1e307, 1e305])
+def test_step_blowup_detection_u1_only(grid16, amplitude):
+    cfg = swirl_cfg(grid16.spec, nu=0.3)
+    u1 = field_from_function(grid16, lambda r, z: amplitude * (1.0 - r * r) + 0 * z, EVEN)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError):
+        step(make_state(grid16, u1=u1), 1.0, cfg)
+
+
+def test_step_rejects_forcing_of_another_grid(grid16x12):
+    sc = Scenario(name="manufactured", amplitude=0.7, mode_k=1)
+    other = manufactured_solution(make_grid(grid16x12.spec), nu=0.1, scenario=sc)
+    cfg = swirl_cfg(grid16x12.spec, nu=0.1)
+    with pytest.raises(ValueError, match="another grid"):  # not a BlowUpError
+        step(random_state(grid16x12, seed=43), 1e-3, cfg, other)
 
 
 def test_run_zero_scenario_stays_zero(tmp_path):

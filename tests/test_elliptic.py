@@ -226,7 +226,7 @@ def test_sharp_constant_bounds_the_bump_ensemble(grid64):
     C, _, _ = criteria_constant(grid64)
     rng = np.random.default_rng(11)
     for _ in range(100):
-        A, B = criteria_pair(bump_field(random_bump_terms(rng, R=1.0, n_terms=2), grid64))
+        A, B = criteria_pair(bump_field(random_bump_terms(rng, R=1.0), grid64))
         assert A <= C * (1.0 + 1e-12) * B
 
 

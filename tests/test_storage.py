@@ -155,6 +155,24 @@ def test_snapshot_rejects_non_finite_field(grid16, tmp_path, capsys, k, name):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "nr,nz,R",
+    [(-1, -1, 1.0), (16, 16, 0.0), (16, 16, math.nan), (16, 5, 1.0)],
+    ids=["nr-1", "R0", "Rnan", "nz5"],
+)
+def test_snapshot_rejects_invalid_header_grid(tmp_path, capsys, nr, nz, R):
+    # the body has the size the header implies, so only make_grid objects
+    path = tmp_path / "snap_000000.axns"
+    header = struct.pack("<4sBii4d", b"AXNS", 1, nr, nz, R, 1.0, 0.0, 0.1)
+    path.write_bytes(header + bytes(3 * nr * nz * 8))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        storage.read_snapshot(path)
+    code = main(["criteria", "--snapshots", str(tmp_path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_snapshot_dir_empty(tmp_path):
     with pytest.raises(ValueError):
         list(storage.read_snapshot_dir(tmp_path))
