@@ -1,0 +1,194 @@
+#!/usr/bin/env python3
+"""Paired benchmark of two source checkouts with perfbench/run.py.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change ../change \\
+        --workload offline_criteria --pairs 10 --seed 201 --seconds 32 \\
+        --out BENCH_N.json
+
+Each pair runs every workload once from each checkout, one process at a
+time, with seed --seed + pair.  The side that runs first alternates from
+pair to pair (the parent first in even pairs), because the second of two
+back-to-back processes can run slower whichever tree it is; workloads are
+interleaved pair by pair.  The output file is rewritten after every run,
+so an interrupted session keeps the runs it finished.  It holds:
+
+    what, command, machine   what was compared, how, and on what
+    summary                  per workload and metric of the --trace 0 runs:
+                             the quartiles of each side, the pairs (runs of
+                             one seed) the change was lower in, the median
+                             relative change and the parent's IQR
+    trace_summary            the same for --trace 1 runs, if any
+    runs                     every process: side, seed, pair, position,
+                             exit code, its result line and sample line
+
+Each checkout must be a source tree with perfbench/run.py and src/; run
+each from a fresh copy, since a run writes under its .perfbench/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench process; its last JSON line is the result and the line
+    with solve_s_samples holds the per-call samples."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = [json.loads(x) for x in proc.stdout.splitlines() if x.startswith("{")]
+    results = [x for x in lines if "correct" in x]
+    samples = [x for x in lines if "solve_s_samples" in x]
+    return {
+        "exit": proc.returncode,
+        "output": results[-1] if results else None,
+        "samples": samples[-1] if samples else None,
+        "stderr_tail": proc.stderr[-2000:] if proc.returncode else "",
+        "wall_s": wall,
+    }
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) == 1:
+        return values * 3
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, med, q3]
+
+
+def metric_value(run: dict, name: str):
+    out = run.get("output") or {}
+    return out.get("metrics", {}).get(name, {}).get("value")
+
+
+def summarize(runs: list[dict], workload: str, trace: int) -> dict:
+    mine = [r for r in runs if r["workload"] == workload and r["trace"] == trace]
+    failed = {
+        side: sum(1 for r in mine if r["side"] == side and not (r["output"] or {}).get("correct"))
+        for side in SIDES
+    }
+    summary: dict = {"failed_runs": failed}
+    names = []
+    for r in mine:
+        for name in (r["output"] or {}).get("metrics", {}):
+            if name not in names:
+                names.append(name)
+    for name in names:
+        pairs = []
+        for seed in sorted({r["seed"] for r in mine}):
+            got = {r["side"]: metric_value(r, name) for r in mine if r["seed"] == seed}
+            if all(isinstance(got.get(side), (int, float)) for side in SIDES):
+                pairs.append((got["parent"], got["change"]))
+        if not pairs:
+            continue
+        parent, change = [p for p, _ in pairs], [c for _, c in pairs]
+        pq, cq = quartiles(parent), quartiles(change)
+        summary[name] = {
+            "pairs": len(pairs),
+            "parent_q1_median_q3": pq,
+            "change_q1_median_q3": cq,
+            "change_lower_in_pairs": sum(c < p for p, c in pairs),
+            "ties": sum(c == p for p, c in pairs),
+            "median_change_rel": cq[1] / pq[1] - 1.0 if pq[1] else None,
+            "max_abs_rel_diff_in_pairs": max(
+                (abs(c / p - 1.0) for p, c in pairs if p), default=None
+            ),
+            "parent_iqr": pq[2] - pq[0],
+        }
+    return summary
+
+
+def describe(runs: list[dict]) -> str:
+    """The what line: the pairs run, per --trace value, and their seeds."""
+    parts = []
+    for trace in sorted({r["trace"] for r in runs}):
+        seeds = sorted({r["seed"] for r in runs if r["trace"] == trace})
+        parts.append(f"{len(seeds)} --trace {trace} pairs, seeds {seeds[0]}-{seeds[-1]}")
+    return (
+        "perfbench/run.py, parent vs change, pairs per workload that alternate "
+        "which side runs first (the parent first in even pairs; workloads "
+        "interleaved pair by pair): " + "; ".join(parts)
+    )
+
+
+def machine() -> dict:
+    import numpy
+
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "note": "wall clock of the benchmark's own processes, run one at a time",
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--workload", action="append", required=True, help="repeatable")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, required=True, help="seed of pair 0")
+    ap.add_argument("--seconds", type=float, default=32.0)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument(
+        "--append", action="store_true",
+        help="add the runs to an existing --out file (say, --trace 1 runs)",
+    )
+    args = ap.parse_args(argv)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, root in roots.items():
+        if not (root / "perfbench" / "run.py").is_file():
+            print(f"{side}: no perfbench/run.py under {root}", file=sys.stderr)
+            return 2
+
+    record = {
+        "what": "",
+        "command": "python3 perfbench/run.py --workload <w> --seed <s> "
+        f"--seconds {args.seconds:g} --trace <t>, from a fresh copy of each checkout",
+        "machine": machine(),
+        "summary": {},
+        "runs": [],
+    }
+    if args.append:
+        record = json.loads(args.out.read_text(encoding="utf-8"))
+    for pair in range(args.pairs):
+        seed = args.seed + pair
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for workload in args.workload:
+            for position, side in enumerate(order):
+                run = {
+                    "side": side, "workload": workload, "seed": seed,
+                    "trace": args.trace, "pair": pair, "position_in_pair": position,
+                }
+                run.update(run_once(roots[side], workload, seed, args.seconds, args.trace))
+                record["runs"].append(run)
+                record["what"] = describe(record["runs"])
+                runs = record["runs"]
+                for trace, key in ((0, "summary"), (1, "trace_summary")):
+                    workloads = sorted({r["workload"] for r in runs if r["trace"] == trace})
+                    if workloads:
+                        record[key] = {w: summarize(runs, w, trace) for w in workloads}
+                args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+                solve = metric_value(run, "solve_s")
+                print(f"pair {pair} {workload} {side}: exit {run['exit']}, solve_s {solve}",
+                      flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

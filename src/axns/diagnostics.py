@@ -21,15 +21,16 @@ One MonitorRow per sampled time, columns in this fixed order:
     quartic_rhs  swirl_sup^2 int u1^2 dx
 
 instantaneous(state, s) is the one place these formulas are written.  It
-takes each stencil once (the velocity from reconstruct_velocity, then
-d_dz of psi1 and u1, and d_dr/d_dz of w and om1), forms r^2 u1 and its
-maximum once for swirl_sup and quartic_rhs, and sums raw node values
-against grid.quad_w.  Each integrand is formed in a buffer of the grid's
-workspace (grid.work) and summed there, so a sample allocates only the
-velocity and one radial derivative.  One finiteness check on the
-finished entries replaces a check per integrand.  criterion_A,
-criterion_B and quartic_check evaluate single columns for callers outside
-the series.
+takes each stencil once (the velocity from reconstruct_velocity, which
+leaves d_dz(psi1) in a workspace buffer, then d_dz of u1, and d_dr/d_dz
+of w and om1), forms (d_dz psi1)^2 once for critA and D, forms r^2 u1 and
+its maximum once for swirl_sup and quartic_rhs, and sums raw node values
+against the workspace's full-size quad_w.  Each integrand is formed in a
+buffer of the grid's workspace (grid.work) and summed there, so a sample
+allocates only the velocity and one radial derivative.  One finiteness
+check on the finished entries replaces a check per integrand.
+criterion_A, criterion_B and quartic_check evaluate single columns for
+callers outside the series.
 
 No functional divides by r pointwise: the 1/r weights are absorbed into
 the reduced variables (v_r/r = -d_dz(psi1), v_phi/r = u1, om_phi/r = om1)
@@ -118,15 +119,15 @@ def _face_grad_sq(vals: np.ndarray, grid: Grid, wall_zero: bool) -> float:
     return float(total)
 
 
-def _criterion_a(g: Grid, dpz: np.ndarray) -> float:
-    """critA from the node values dpz of d_dz(psi1)."""
-    sq = np.multiply(dpz, dpz, out=g.work.leaf[0])
-    return float(2.0 * np.pi * g.dr * g.dz * np.sum(sq))
+def _criterion_a(g: Grid, dpz_sq: np.ndarray) -> float:
+    """critA from the node values dpz_sq of d_dz(psi1)^2."""
+    return float(2.0 * np.pi * g.dr * g.dz * np.sum(dpz_sq))
 
 
 def criterion_A(state: State) -> float:
     """int v_r^2 / r^3 dx via the reduced form 2 pi int (d_dz psi1)^2 dr dz."""
-    return _criterion_a(state.grid, d_dz(state.psi1).values)
+    dpz = d_dz(state.psi1).values
+    return _criterion_a(state.grid, np.multiply(dpz, dpz, out=dpz))
 
 
 def criterion_B(state: State) -> float:
@@ -167,7 +168,7 @@ def _ualpha_integral(g: Grid, u: np.ndarray, s: int, p: float) -> float:
     r^((2s - 3) p / s) |u1|^p; the exponent is exactly 2s - 3 when p = s."""
     ws = g.work
     t = np.power(np.abs(u, out=ws.leaf[0]), p, out=ws.leaf[0])
-    np.multiply(ws.r ** ((2.0 * s - 3.0) * p / s), t, out=t)
+    np.multiply(g.r[:, None] ** ((2.0 * s - 3.0) * p / s), t, out=t)
     return float(np.sum(np.multiply(t, ws.quad_w, out=t)))
 
 
@@ -249,7 +250,7 @@ def instantaneous(state: State, s: int) -> dict:
         d_r += np.multiply(d_z, d_z, out=d_z)
         return total(d_r)
 
-    vel = reconstruct_velocity(state)
+    vel = reconstruct_velocity(state, dpz)  # dpz = d_dz(psi1) = -v_r / r
     vr, vphi, vz = vel.v_r.values, vel.v_phi.values, vel.v_z.values
     np.multiply(vr, vr, out=t1)
     t1 += np.multiply(vphi, vphi, out=t2)
@@ -261,10 +262,8 @@ def instantaneous(state: State, s: int) -> dict:
         + _face_grad_sq(vz, g, wall_zero=False)
     )
     del vel, vr, vphi, vz  # freed before d_dr(omega1) below allocates
-    d_dz_values(state.psi1.values, g.dz, out=dpz)  # -v_r / r
-    np.multiply(dpz, dpz, out=t1)
-    t1 += np.multiply(u, u, out=t2)
-    dissipation += total(t1)
+    dpz_sq = np.multiply(dpz, dpz, out=dpz)  # (v_r / r)^2, also critA's
+    dissipation += total(np.add(dpz_sq, np.multiply(u, u, out=t2), out=t1))
     # v_phi^2 / r = r u1^2 (w in the column table) vanishes at the axis: odd
     np.multiply(ws.r, u, out=cfz)
     cfz *= u
@@ -272,7 +271,7 @@ def instantaneous(state: State, s: int) -> dict:
     inst = {
         "E": energy,
         "D": dissipation,
-        "critA": _criterion_a(g, dpz),
+        "critA": _criterion_a(g, dpz_sq),
         "critB": criterion_B(state),
         "swirl_sup": sup,
         "cfz_l2": total(np.square(cfz, out=t1)),

@@ -33,8 +33,9 @@ The array stencils (d_dr_values, d_dz_values, d2_dz2_values, lap3_values)
 take raw node values and write into an optional C-contiguous (nr, nz)
 out= array; the ScalarField wrappers (d_dr, d_dz, modified_laplacian)
 always return fresh arrays.  Each Grid carries one Workspace (grid.work):
-scratch (nr, nz) arrays and the per-grid constants of the array kernels,
-built on first use and freed with the grid.  The workspace is
+scratch (nr, nz) arrays and read-only full-size copies of the per-grid
+constants the array kernels multiply by, built on first use and freed
+with the grid.  The workspace is
 non-reentrant per grid, and no value lives in it across calls: whatever a
 kernel leaves there is overwritten by the next kernel call on that grid.
 """
@@ -125,16 +126,32 @@ class Workspace:
 
     Non-reentrant: a kernel may overwrite any buffer of its group, and no
     value lives here across calls.
+
+    The constants are read-only full-size copies of per-row columns: r,
+    neg_r (-r), r2 (r^2), quad_w, face_w (the radial face weights
+    2 pi r_{i+1/2} dr dz, nr - 1 rows) and the three lap3 bands sub,
+    diag and sup.  A full x full multiply into out= runs about 1.5x
+    faster than one that broadcasts an (nr, 1) column, and it needs no
+    numpy iterator buffer, so the kernels allocate nothing for it.  They
+    cost 8 arrays per grid: 1 MiB at 128^2, 4 MiB at 256^2.
     """
 
     def __init__(self, grid: Grid):
         shape = (grid.nr, grid.nz)
-        self.r = grid.r[:, None]
-        self.r2 = self.r**2
-        self.quad_w = grid.quad_w[:, None]
+
+        def full(col: np.ndarray) -> np.ndarray:
+            a = np.broadcast_to(col[:, None], (col.size, grid.nz)).copy()
+            a.flags.writeable = False
+            return a
+
         # radial faces r_{i+1/2}, i = 0 .. nr-2, with weight 2 pi r dr dz
         r_face = grid.r[:-1] + 0.5 * grid.dr
-        self.face_w = (2.0 * np.pi * r_face * grid.dr * grid.dz)[:, None]
+        self.r = full(grid.r)
+        self.neg_r = full(-grid.r)
+        self.r2 = full(grid.r**2)
+        self.quad_w = full(grid.quad_w)
+        self.face_w = full(2.0 * np.pi * r_face * grid.dr * grid.dz)
+        self.sub, self.diag, self.sup = map(full, grid.radial_bands)
         self.leaf = tuple(np.empty(shape) for _ in range(3))
         self.kernel = tuple(np.empty(shape) for _ in range(9))
         self.stage = tuple(np.empty(shape) for _ in range(2))
@@ -259,11 +276,11 @@ def d_dz(f: ScalarField) -> ScalarField:
 def lap3_values(values: np.ndarray, grid: Grid, out=None) -> np.ndarray:
     """lap3 of the raw node values of an even-parity field; its one
     temporary is the grid's first leaf buffer."""
-    sub, diag, sup = grid.radial_bands
-    tmp = grid.work.leaf[0]
-    out = np.multiply(diag[:, None], values, out=out)
-    out[1:] += np.multiply(sub[1:, None], values[:-1], out=tmp[1:])
-    out[:-1] += np.multiply(sup[:-1, None], values[1:], out=tmp[:-1])
+    ws = grid.work
+    tmp = ws.leaf[0]
+    out = np.multiply(ws.diag, values, out=out)
+    out[1:] += np.multiply(ws.sub[1:], values[:-1], out=tmp[1:])
+    out[:-1] += np.multiply(ws.sup[:-1], values[1:], out=tmp[:-1])
     out += d2_dz2_values(values, grid.dz, out=tmp)
     return out
 

@@ -66,21 +66,22 @@ def velocity_values(grid: Grid, psi1, dpsi_dz, v_r, v_z) -> None:
     """d_dz(psi1), v_r and v_z of raw psi1 node values, written into the
     caller's arrays; dpsi_dz may be v_r, none may be psi1.  v_r holds
     r d_dr(psi1) until v_z is formed, so nothing else is allocated."""
-    r = grid.work.r
-    np.multiply(r, d_dr_values(psi1, grid.dr, EVEN, out=v_r), out=v_r)
+    ws = grid.work
+    np.multiply(ws.r, d_dr_values(psi1, grid.dr, EVEN, out=v_r), out=v_r)
     np.multiply(2.0, psi1, out=v_z)
     v_z += v_r
     d_dz_values(psi1, grid.dz, out=dpsi_dz)
-    np.multiply(-r, dpsi_dz, out=v_r)
+    np.multiply(ws.neg_r, dpsi_dz, out=v_r)
 
 
-def reconstruct_velocity(state: State) -> VelocityFields:
-    """The velocity components over fresh arrays; d_dz(psi1) is formed in
-    v_r's array, so only v_phi = r u1 is allocated besides."""
+def reconstruct_velocity(state: State, dpsi_dz=None) -> VelocityFields:
+    """The velocity components over fresh arrays.  d_dz(psi1) is written
+    into dpsi_dz when the caller passes an (nr, nz) array, else formed in
+    v_r's array; only v_r, v_z and v_phi = r u1 are allocated."""
     g = state.grid
     v_r = np.empty((g.nr, g.nz))
     v_z = np.empty((g.nr, g.nz))
-    velocity_values(g, state.psi1.values, v_r, v_r, v_z)
+    velocity_values(g, state.psi1.values, v_r if dpsi_dz is None else dpsi_dz, v_r, v_z)
     return VelocityFields(
         v_r=ScalarField(g, v_r, ODD),
         v_phi=ScalarField(g, g.work.r * state.u1.values, ODD),

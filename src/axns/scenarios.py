@@ -95,8 +95,7 @@ def init_scenario(scenario: Scenario, grid: Grid) -> State:
         u1 = ScalarField(grid, vals.copy(), EVEN)
         om1 = ScalarField(grid, vals.copy(), EVEN)
     elif name == "manufactured":
-        # nu enters only the forcing, which is not read here
-        man = manufactured_solution(grid, nu=1.0, scenario=scenario)
+        man = manufactured_solution(grid, nu=None, scenario=scenario)
         u1 = ScalarField(grid, man.u1(0.0), EVEN)
         om1 = ScalarField(grid, man.om1(0.0), EVEN)
     else:  # pragma: no cover - validate() already rejected
@@ -110,7 +109,8 @@ class ManufacturedSolution:
 
     Every key has the form sum_m exp(-m t) F_m(r, z), m = 1, 2.  All
     factors of all keys are sampled on .grid when the solution is built,
-    so an evaluation costs one scalar exp and one axpy per mode.
+    so an evaluation costs one scalar exp and one axpy per mode.  A
+    solution built with nu = None has the fields but no forcing keys.
     """
 
     def __init__(self, grid: Grid, factors: dict):
@@ -137,9 +137,12 @@ class ManufacturedSolution:
         return self._eval("f_om", t)
 
 
-def manufactured_solution(grid: Grid, nu: float, scenario: Scenario) -> ManufacturedSolution:
+def manufactured_solution(
+    grid: Grid, nu: float | None, scenario: Scenario
+) -> ManufacturedSolution:
     """Closed forms of the fields and of the forcing, as polynomials in r
     times sines and cosines of kz = 2 pi k z / Lz, sampled on grid.
+    nu = None samples the fields u1 and om1 only, without the forcing.
 
     With a = exp(-t) and s = 1 - (r/R)^2 the fields are
 
@@ -171,6 +174,12 @@ def manufactured_solution(grid: Grid, nu: float, scenario: Scenario) -> Manufact
         return p.deriv(2) + 3.0 * Polynomial(p.deriv().coef[1:])
 
     Om = kappa**2 * Psi - lap_r(Psi)
+    r, z = grid.r[:, None], grid.z[None, :]
+    c, c7 = np.cos(kappa * z), np.cos(kappa * z + 0.7)
+    factors = {"u1": [U(r) * c7], "om1": [Om(r) * c]}
+    if nu is None:
+        return ManufacturedSolution(grid, factors)
+
     Vr = kappa * x * Psi  # v_r = a Vr sin(kz)
     Vz = 2.0 * Psi + x * Psi.deriv()  # v_z = a Vz cos(kz)
 
@@ -178,9 +187,7 @@ def manufactured_solution(grid: Grid, nu: float, scenario: Scenario) -> Manufact
         # radial part of -f - nu lap3(f) for f = p(r) times one z mode
         return -p - nu * (lap_r(p) - kappa**2 * p)
 
-    r, z = grid.r[:, None], grid.z[None, :]
-    c, sn = np.cos(kappa * z), np.sin(kappa * z)
-    c7, s7 = np.cos(kappa * z + 0.7), np.sin(kappa * z + 0.7)
+    sn, s7 = np.sin(kappa * z), np.sin(kappa * z + 0.7)
     f_u2 = (
         (Vr * U.deriv())(r) * (sn * c7)
         - kappa * (Vz * U)(r) * (c * s7)
@@ -191,10 +198,6 @@ def manufactured_solution(grid: Grid, nu: float, scenario: Scenario) -> Manufact
         - kappa * (Vz * Om)(r) * (c * sn)
         + 2.0 * kappa * (U * U)(r) * (c7 * s7)  # -2 u1 d_z u1
     )
-    factors = {
-        "u1": [U(r) * c7],
-        "om1": [Om(r) * c],
-        "f_u": [decay(U)(r) * c7, f_u2],
-        "f_om": [decay(Om)(r) * c, f_om2],
-    }
+    factors["f_u"] = [decay(U)(r) * c7, f_u2]
+    factors["f_om"] = [decay(Om)(r) * c, f_om2]
     return ManufacturedSolution(grid, factors)

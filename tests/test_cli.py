@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, outputs, cross-path agreement."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,9 +116,15 @@ def test_run_deterministic(tmp_path):
     cfg.write_text(CONFIG)
     for d in ("a", "b"):
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / d)]) == 0
-    a = (tmp_path / "a" / "series.csv").read_bytes()
-    b = (tmp_path / "b" / "series.csv").read_bytes()
-    assert a == b
+    # every output file: series.csv, the snapshots and the plots
+    trees = [
+        {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        for root in (tmp_path / "a", tmp_path / "b")
+    ]
+    assert Path("series.csv") in trees[0]
+    assert any(p.parts[0] == "snapshots" for p in trees[0])
+    assert any(p.parts[0] == "plots" for p in trees[0])
+    assert trees[0] == trees[1]
 
 
 def test_criteria_recomputation_matches_run(run_dir, tmp_path):

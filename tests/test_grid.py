@@ -280,3 +280,43 @@ def test_z_stencils_match_rolled_form_bitwise(nr, nz):
             out = np.full((nr, nz), np.nan)
             assert stencil(x, out=out) is out
             assert out.tobytes() == stencil(x).tobytes()
+
+
+def test_workspace_constants_are_read_only_full_size_columns():
+    # nr != nz, so a transposed constant cannot pass
+    g = make_grid(GridSpec(R=1.3, Lz=0.7, nr=12, nz=8))
+    sub, diag, sup = g.radial_bands
+    r_face = g.r[:-1] + 0.5 * g.dr
+    columns = {
+        "r": g.r[:, None],
+        "neg_r": -g.r[:, None],
+        "r2": g.r[:, None] ** 2,
+        "quad_w": g.quad_w[:, None],
+        "face_w": (2.0 * np.pi * r_face * g.dr * g.dz)[:, None],
+        "sub": sub[:, None],
+        "diag": diag[:, None],
+        "sup": sup[:, None],
+    }
+    for name, col in columns.items():
+        const = getattr(g.work, name)
+        want = np.broadcast_to(col, (col.shape[0], g.nz))
+        assert not const.flags.writeable, name
+        assert const.shape == want.shape, name
+        assert const.tobytes() == want.tobytes(), name
+    # lap3 does the arithmetic of the column-broadcast form
+    v = np.random.default_rng(8).standard_normal((g.nr, g.nz))
+    want = diag[:, None] * v
+    want[1:] += sub[1:, None] * v[:-1]
+    want[:-1] += sup[:-1, None] * v[1:]
+    want += d2_dz2_values(v, g.dz)
+    assert lap3_values(v, g).tobytes() == want.tobytes()
+
+
+def test_lap3_out_allocates_no_full_size_temporaries(grid64, traced_peak):
+    # warmed up: the bands are full-size workspace constants, so numpy
+    # needs no iterator buffer (about 0.05 arrays measured at 64^2)
+    v = np.random.default_rng(3).standard_normal((grid64.nr, grid64.nz))
+    out = np.empty_like(v)
+    lap3_values(v, grid64, out=out)
+    full = grid64.nr * grid64.nz * 8
+    assert traced_peak(lambda: lap3_values(v, grid64, out=out)) <= 0.25 * full

@@ -110,12 +110,16 @@ def test_velocity_values_aliased_output_is_byte_equal(rng):
     velocity_values(g, psi.values, dpz, v_r, v_z)
     velocity_values(g, psi.values, a_r, a_r, a_z)
     vel = reconstruct_velocity(state)
+    # the caller's buffer receives d_dz(psi1) and changes no velocity bit
+    buf = np.empty((g.nr, g.nz))
+    shared = reconstruct_velocity(state, buf)
     r = g.r[:, None]
-    assert dpz.tobytes() == d_dz(psi).values.tobytes()
-    for got in (a_r, vel.v_r.values, -r * d_dz(psi).values):
+    assert dpz.tobytes() == d_dz(psi).values.tobytes() == buf.tobytes()
+    for got in (a_r, vel.v_r.values, shared.v_r.values, -r * d_dz(psi).values):
         assert got.tobytes() == v_r.tobytes()
-    for got in (a_z, vel.v_z.values, 2.0 * psi.values + r * d_dr(psi).values):
+    for got in (a_z, vel.v_z.values, shared.v_z.values, 2.0 * psi.values + r * d_dr(psi).values):
         assert got.tobytes() == v_z.tobytes()
+    assert shared.v_phi.values.tobytes() == vel.v_phi.values.tobytes()
 
 
 def test_divergence_zero_cases(grid16):

@@ -11,6 +11,7 @@ import pytest
 from axns.diagnostics import instantaneous
 from axns.elliptic import stream_residual
 from axns.grid import GridSpec, make_grid, norm_l2
+from axns import scenarios
 from axns.scenarios import Scenario, init_scenario, manufactured_solution
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -137,3 +138,21 @@ def test_forced_run_needs_no_sympy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "series.csv").exists()
+
+
+def test_manufactured_start_samples_no_forcing(grid16, monkeypatch):
+    built = []
+
+    class Recording(scenarios.ManufacturedSolution):
+        def __init__(self, grid, factors):
+            built.append(sorted(factors))
+            super().__init__(grid, factors)
+
+    monkeypatch.setattr(scenarios, "ManufacturedSolution", Recording)
+    sc = Scenario(name="manufactured", amplitude=1.3, mode_k=2)
+    state = init_scenario(sc, grid16)
+    assert built == [["om1", "u1"]]
+    # the same bytes as the t = 0 fields of a forced solution
+    man = manufactured_solution(grid16, 0.05, sc)
+    assert state.u1.values.tobytes() == man.u1(0.0).tobytes()
+    assert state.omega1.values.tobytes() == man.om1(0.0).tobytes()
