@@ -9,7 +9,7 @@ file system: storage.RunWriter writes the files.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+import html
 
 W, H = 640, 420
 ML, MR, MT, MB = 76, 24, 44, 52
@@ -44,11 +44,11 @@ def render_line_plot(title, xlabel, curves) -> str:
         f'viewBox="0 0 {W} {H}" font-family="sans-serif">',
         f'<rect width="{W}" height="{H}" fill="white"/>',
         f'<text x="{W / 2:.0f}" y="26" text-anchor="middle" font-size="15">'
-        f"{escape(title)}</text>",
+        f"{html.escape(title, quote=False)}</text>",
         f'<line x1="{ML}" y1="{H - MB}" x2="{W - MR}" y2="{H - MB}" stroke="black"/>',
         f'<line x1="{ML}" y1="{MT}" x2="{ML}" y2="{H - MB}" stroke="black"/>',
         f'<text x="{(ML + W - MR) / 2:.0f}" y="{H - 14}" text-anchor="middle" '
-        f'font-size="12">{escape(xlabel)}</text>',
+        f'font-size="12">{html.escape(xlabel, quote=False)}</text>',
     ]
     nticks = 5
     for k in range(nticks):
@@ -60,7 +60,7 @@ def render_line_plot(title, xlabel, curves) -> str:
         )
         out.append(
             f'<text x="{xp:.2f}" y="{H - MB + 18}" text-anchor="middle" '
-            f'font-size="11">{escape("%.4g" % xv)}</text>'
+            f'font-size="11">{html.escape("%.4g" % xv, quote=False)}</text>'
         )
         yv = ymin + (ymax - ymin) * k / (nticks - 1)
         yp = H - MB - (H - MT - MB) * k / (nticks - 1)
@@ -71,7 +71,7 @@ def render_line_plot(title, xlabel, curves) -> str:
         )
         out.append(
             f'<text x="{ML - 8}" y="{yp + 4:.2f}" text-anchor="end" '
-            f'font-size="11">{escape(label)}</text>'
+            f'font-size="11">{html.escape(label, quote=False)}</text>'
         )
     for n, (label, xs, ys) in enumerate(curves):
         color = PALETTE[n % len(PALETTE)]
@@ -87,7 +87,7 @@ def render_line_plot(title, xlabel, curves) -> str:
         )
         out.append(
             f'<text x="{W - MR - 80}" y="{ly + 4}" font-size="11">'
-            f"{escape(label)}</text>"
+            f"{html.escape(label, quote=False)}</text>"
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -1,11 +1,15 @@
 """End-to-end command-line checks: exit codes, outputs, cross-path agreement."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import axns
 from axns import dynamics, storage, verify
 from axns.cli import main
 from axns.diagnostics import ualpha_norm
@@ -111,20 +115,43 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-def test_run_deterministic(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(CONFIG)
-    for d in ("a", "b"):
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / d)]) == 0
+def assert_same_outputs(a: Path, b: Path):
     # every output file: series.csv, the snapshots and the plots
     trees = [
         {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-        for root in (tmp_path / "a", tmp_path / "b")
+        for root in (a, b)
     ]
     assert Path("series.csv") in trees[0]
     assert any(p.parts[0] == "snapshots" for p in trees[0])
     assert any(p.parts[0] == "plots" for p in trees[0])
     assert trees[0] == trees[1]
+
+
+def test_run_deterministic(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    for d in ("a", "b"):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / d)]) == 0
+    assert_same_outputs(tmp_path / "a", tmp_path / "b")
+
+
+def test_run_deterministic_on_two_blas_threads(tmp_path):
+    # the stream solve's two matrix products go through BLAS; at 128^2 they
+    # are large enough for OpenBLAS to split them over its threads
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONFIG.replace("nr = 24", "nr = 128").replace("nz = 24", "nz = 128")
+        .replace("t_end = 0.05", "t_end = 0.0002")
+    )
+    env = dict(
+        os.environ, OPENBLAS_NUM_THREADS="2",
+        PYTHONPATH=str(Path(axns.__file__).parents[1]),
+    )
+    code = "import sys; from axns.cli import main; sys.exit(main(sys.argv[1:]))"
+    for d in ("a", "b"):
+        args = ["run", "--config", str(cfg), "--out", str(tmp_path / d)]
+        subprocess.run([sys.executable, "-c", code, *args], env=env, check=True)
+    assert_same_outputs(tmp_path / "a", tmp_path / "b")
 
 
 def test_criteria_recomputation_matches_run(run_dir, tmp_path):

@@ -145,7 +145,7 @@ def test_factor_cache_reused(grid32):
 def column_thomas_solve(grid, rhs_values):
     """Thomas factorization and sweep over all modes at once, in the
     transposed (modes, nr) complex layout with complex division by the
-    pivots: the reference the cyclic reduction must reproduce to roundoff."""
+    pivots: the reference the eigenbasis solve must reproduce to roundoff."""
     nr, nz = grid.nr, grid.nz
     sub, diag, sup = grid.radial_bands
     k = np.arange(nz // 2 + 1)
@@ -184,6 +184,22 @@ def test_cyclic_reduction_matches_thomas_reference(nr, nz):
     # bytes, so that a signed zero would show
     zero = np.zeros((nr, nz))
     assert _factor_for(g).solve(zero).tobytes() == zero.tobytes()
+
+
+@pytest.mark.parametrize(
+    "R, Lz, nz",
+    # on about 40% of these grids sub[1] is one ulp of 1/dr^2, not 0
+    [(1.0, 1.3, 8), (1.0, 1.3, 12), (1.0, 0.2, 8), (1.0, 0.2, 12),
+     (0.7, 1.3, 8), (1.3, 1.3, 12), (2.0, 1.3, 8)],
+)
+def test_eigenbasis_matches_thomas_reference_for_every_nr(R, Lz, nz):
+    # the symmetrizer grows like r^(3/2), so the error grows with nr
+    for nr in range(4, 161):
+        g = make_grid(GridSpec(R=R, Lz=Lz, nr=nr, nz=nz))
+        source = np.random.default_rng(nr * 1000 + nz).standard_normal((nr, nz))
+        want = column_thomas_solve(g, source)
+        got = _factor_for(g).solve(source)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), nr
 
 
 def test_solve_result_does_not_alias_the_grid_buffer(grid16, grid32, rng):
