@@ -16,7 +16,9 @@ so an interrupted session keeps the runs it finished.  It holds:
     summary                  per workload and metric of the --trace 0 runs:
                              the quartiles of each side, the pairs (runs of
                              one seed) the change was lower in, the median
-                             relative change and the parent's IQR
+                             relative change and the parent's IQR, and for
+                             each end-to-end metric of BENCHMARK.json its
+                             bound and no_regression verdict (see verdict)
     trace_summary            the same for --trace 1 runs, if any
     runs                     every process: side, seed, pair, position,
                              exit code, its result line and sample line
@@ -74,7 +76,22 @@ def metric_value(run: dict, name: str):
     return out.get("metrics", {}).get(name, {}).get("value")
 
 
-def summarize(runs: list[dict], workload: str, trace: int) -> dict:
+def verdict(parent: list[float], change: list[float], bound: float, better: str) -> str:
+    """unresolved if the parent's IQR is wider than bound times its median,
+    unless every change run is better than every parent run; else ok if
+    the change's median is worse than the parent's by at most bound
+    (relative); else regressed."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * value: larger is worse
+    pq, cq = quartiles(parent), quartiles(change)
+    all_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    if pq[2] - pq[0] > bound * abs(pq[1]) and not all_better:
+        return "unresolved"
+    return "ok" if sign * (cq[1] - pq[1]) <= bound * abs(pq[1]) else "regressed"
+
+
+def summarize(runs: list[dict], workload: str, trace: int, end_to_end: list[dict]) -> dict:
+    """Per-metric statistics of one workload's runs at one --trace value;
+    end_to_end is BENCHMARK.json's list of {name, better, bound} entries."""
     mine = [r for r in runs if r["workload"] == workload and r["trace"] == trace]
     failed = {
         side: sum(1 for r in mine if r["side"] == side and not (r["output"] or {}).get("correct"))
@@ -108,6 +125,12 @@ def summarize(runs: list[dict], workload: str, trace: int) -> dict:
             ),
             "parent_iqr": pq[2] - pq[0],
         }
+        for e2e in end_to_end:
+            if e2e["name"] == name:
+                summary[name]["bound"] = e2e["bound"]
+                summary[name]["no_regression"] = verdict(
+                    parent, change, e2e["bound"], e2e["better"]
+                )
     return summary
 
 
@@ -156,6 +179,7 @@ def main(argv=None) -> int:
             print(f"{side}: no perfbench/run.py under {root}", file=sys.stderr)
             return 2
 
+    benchmark = json.loads((roots["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     record = {
         "what": "",
         "command": "python3 perfbench/run.py --workload <w> --seed <s> "
@@ -182,7 +206,10 @@ def main(argv=None) -> int:
                 for trace, key in ((0, "summary"), (1, "trace_summary")):
                     workloads = sorted({r["workload"] for r in runs if r["trace"] == trace})
                     if workloads:
-                        record[key] = {w: summarize(runs, w, trace) for w in workloads}
+                        record[key] = {
+                            w: summarize(runs, w, trace, benchmark["end_to_end"])
+                            for w in workloads
+                        }
                 args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
                 solve = metric_value(run, "solve_s")
                 print(f"pair {pair} {workload} {side}: exit {run['exit']}, solve_s {solve}",

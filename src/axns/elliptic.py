@@ -6,7 +6,7 @@ mu_k = (2 - 2 cos(2 pi k / nz)) / dz^2 and B = -L_r the tridiagonal of
 grid.radial_bands, the coefficients modified_laplacian applies.  Every mode
 shares B, so one eigendecomposition per grid diagonalizes all of them (the
 matrix decomposition method of Lynch, Rice and Thomas 1964).  Rows 1..nr-1
-of B do not see row 0 (sub[1] is 0 or one ulp of 1/dr^2); on them
+of B do not see row 0 (sub[1] is exactly 0); on them
 D B D^-1 = S is symmetric for d[i+1] / d[i] = sqrt(B[i, i+1] / B[i+1, i]),
 so B = V diag(lam) V^-1 with V = D^-1 Q and V^-1 = Q^T D from S = Q lam Q^T.
 eigh's smallest lam carry an absolute error of about eps |S|, so the build
@@ -44,20 +44,11 @@ from .grid import (
 )
 
 
-def _mode_shifts(grid: Grid) -> np.ndarray:
-    """mu_k = (2 - 2 cos(2 pi k / nz)) / dz^2 of every rfft mode k."""
+def mode_shifts(grid: Grid) -> np.ndarray:
+    """mu_k = (2 - 2 cos(2 pi k / nz)) / dz^2 of every rfft mode k: mode k
+    of -lap3 is M_k = -L_r + mu_k I, with L_r from grid.radial_bands."""
     k = np.arange(grid.nz // 2 + 1)
     return (2.0 - 2.0 * np.cos(2.0 * np.pi * k / grid.nz)) / (grid.dz * grid.dz)
-
-
-def mode_rows(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] of M_k = -(L_r) + mu_k I:
-    fresh (nr, nz // 2 + 1) arrays, one column per rfft mode k."""
-    sub, diag, sup = grid.radial_bands
-    b = -diag[:, None] + _mode_shifts(grid)[None, :]
-    a = np.broadcast_to(-sub[:, None], b.shape).copy()
-    c = np.broadcast_to(-sup[:, None], b.shape).copy()
-    return a, b, c
 
 
 def _refine(dia: np.ndarray, off: np.ndarray, lam: np.ndarray, q: np.ndarray):
@@ -88,7 +79,7 @@ class _StreamFactor:
 
     def __init__(self, grid: Grid):
         sub, diag, sup = grid.radial_bands
-        mu = _mode_shifts(grid)
+        mu = mode_shifts(grid)
         ld, f8 = np.longdouble, np.float64
         up, lo = -sup[1:-1].astype(ld), -sub[2:].astype(ld)  # B[i, i+1], B[i+1, i]
         dia, off = -diag[1:].astype(ld), -np.sqrt(up * lo)  # S = D B D^-1

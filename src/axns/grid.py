@@ -78,9 +78,11 @@ class Grid:
     def radial_bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Tridiagonal coefficients (sub, diag, sup) of d^2/dr^2 + (3/r) d/dr
         on even-parity fields, with the axis ghost folded into diag[0] and
-        the Dirichlet wall ghost folded into diag[-1].  Built on first use
-        and shared, read-only, by the operator application and by the
-        stream-function solver so that the two agree to the last bit.
+        the Dirichlet wall ghost folded into diag[-1].  sub[1] = 1/dr^2 -
+        3/(2 r_1 dr) with r_1 = 1.5 dr is exactly 0 (rounding can leave one
+        ulp), so it is written as 0 and row 1 does not see row 0.  Built on
+        first use and shared, read-only, by the operator application and by
+        the stream-function solver so that the two agree to the last bit.
         """
         inv2 = 1.0 / (self.dr * self.dr)
         s = 3.0 / (2.0 * self.r * self.dr)
@@ -89,7 +91,7 @@ class Grid:
         diag = np.full(self.nr, -2.0 * inv2)
         diag[0] += sub[0]  # even ghost: f(-1) = f(0)
         diag[-1] -= sup[-1]  # wall ghost: f(nr) = -f(nr-1)
-        sub[0] = 0.0
+        sub[:2] = 0.0
         sup[-1] = 0.0
         for band in (sub, diag, sup):
             band.flags.writeable = False

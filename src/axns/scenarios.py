@@ -94,12 +94,10 @@ def init_scenario(scenario: Scenario, grid: Grid) -> State:
         vals = A * np.exp(-(((r - rc) ** 2) + ((z - zc) ** 2)) / (w * w))
         u1 = ScalarField(grid, vals.copy(), EVEN)
         om1 = ScalarField(grid, vals.copy(), EVEN)
-    elif name == "manufactured":
+    else:  # "manufactured"
         man = manufactured_solution(grid, nu=None, scenario=scenario)
         u1 = ScalarField(grid, man.u1(0.0), EVEN)
         om1 = ScalarField(grid, man.om1(0.0), EVEN)
-    else:  # pragma: no cover - validate() already rejected
-        raise ValueError(f"unknown scenario {name!r}")
     psi1 = solve_stream(om1)
     return State(u1=u1, omega1=om1, psi1=psi1, t=0.0)
 

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .dynamics import SolverConfig, diffusive_dt, run, stable_dt, step
-from .elliptic import mode_rows, solve_stream, stream_residual
+from .elliptic import mode_shifts, solve_stream, stream_residual
 from .grid import (
     EVEN,
     Grid,
@@ -142,12 +142,11 @@ def criteria_constant(grid: Grid) -> tuple[float, int, np.ndarray]:
     act per mode, and on mode k the sup of s_k^2 |M_k^-1 f|^2 / |r f|^2 is
     s_k^2 / sigma_min(diag(r) M_k)^2, attained where r f is the left
     singular vector of sigma_min."""
-    a, b, c = mode_rows(grid)
-    rm = np.array([  # diag(r) M_k, one dense matrix per mode
-        grid.r[:, None] * (np.diag(b[:, k]) + np.diag(a[1:, k], -1) + np.diag(c[:-1, k], 1))
-        for k in range(b.shape[1])
-    ])
-    s = np.sin(2.0 * np.pi * np.arange(b.shape[1]) / grid.nz) / grid.dz
+    sub, diag, sup = grid.radial_bands
+    mu = mode_shifts(grid)
+    m = -(np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1))  # -L_r
+    rm = grid.r[:, None] * (m + mu[:, None, None] * np.eye(grid.nr))  # diag(r) M_k per mode
+    s = np.sin(2.0 * np.pi * np.arange(mu.size) / grid.nz) / grid.dz
     ratios = s**2 / np.linalg.svd(rm, compute_uv=False)[:, -1] ** 2
     k = int(np.argmax(ratios))
     return float(ratios[k]), k, np.linalg.svd(rm[k])[0][:, -1] / grid.r
@@ -182,7 +181,7 @@ def dynamics_spatial_study():
     for n in (32, 64, 128):
         cfg = _mms_config(n, nu, t_end=0.25, cfl=0.4)
         final, _ = run(cfg)
-        man = manufactured_solution(final.grid, nu, cfg.scenario)
+        man = manufactured_solution(final.grid, nu=None, scenario=cfg.scenario)
         errors.append(_field_error(final, man.u1(final.t), man.om1(final.t)))
     return errors
 

@@ -1,0 +1,59 @@
+"""The no_regression verdict of scripts/bench_pairs.py on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_path = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _path)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "solve_s", "better": "lower", "bound": 0.25},
+    {"name": "score", "better": "higher", "bound": 0.1},
+]
+
+
+def _runs(parent, change, name="solve_s"):
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        for side, value in (("parent", p), ("change", c)):
+            runs.append({
+                "side": side, "workload": "w", "seed": seed, "trace": 0,
+                "output": {"correct": True, "metrics": {name: {"value": value}}},
+            })
+    return runs
+
+
+@pytest.mark.parametrize(
+    "name, parent, change, want",
+    [
+        # medians 1.0 vs 1.2: within the 0.25 bound
+        ("solve_s", [0.98, 0.99, 1.0, 1.01, 1.02], [1.18, 1.19, 1.2, 1.21, 1.22], "ok"),
+        # faster is always ok
+        ("solve_s", [1.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 0.5], "ok"),
+        # 1.5x slower, tight parent spread: regressed
+        ("solve_s", [0.98, 0.99, 1.0, 1.01, 1.02], [1.48, 1.49, 1.5, 1.51, 1.52], "regressed"),
+        # parent IQR/median 1.0, wider than the bound: equal medians tell nothing
+        ("solve_s", [0.5, 0.5, 1.0, 1.5, 1.5], [0.6, 0.9, 1.0, 1.1, 1.4], "unresolved"),
+        ("solve_s", [0.5, 0.5, 1.0, 1.5, 1.5], [1.6, 1.6, 1.7, 1.7, 1.8], "unresolved"),
+        # ... unless every change run is better than every parent run
+        ("solve_s", [0.5, 0.5, 1.0, 1.5, 1.5], [0.3, 0.3, 0.4, 0.4, 0.45], "ok"),
+        # higher is better: a 20% drop exceeds the 0.1 bound
+        ("score", [10.0, 10.0, 10.0], [8.0, 8.0, 8.0], "regressed"),
+        ("score", [10.0, 10.0, 10.0], [9.5, 9.5, 9.5], "ok"),
+    ],
+)
+def test_summarize_gives_each_end_to_end_metric_a_verdict(name, parent, change, want):
+    summary = bench_pairs.summarize(_runs(parent, change, name), "w", 0, END_TO_END)
+    assert summary["failed_runs"] == {"parent": 0, "change": 0}
+    assert summary[name]["pairs"] == len(parent)
+    assert summary[name]["no_regression"] == want
+    assert summary[name]["bound"] == {e["name"]: e["bound"] for e in END_TO_END}[name]
+
+
+def test_metrics_outside_end_to_end_get_no_verdict():
+    summary = bench_pairs.summarize(_runs([1.0, 2.0], [3.0, 4.0], "other"), "w", 0, END_TO_END)
+    assert "no_regression" not in summary["other"]

@@ -216,6 +216,15 @@ def test_modified_laplacian_z_eigenfunction():
     assert math.log2(errs[1] / errs[2]) > 1.9
 
 
+def test_radial_band_sub1_is_exactly_zero():
+    # 1/dr^2 - 3/(2 r_1 dr) with r_1 = 1.5 dr is 0, but the float
+    # subtraction leaves one ulp on 267 of these 628 grids
+    for R in (0.7, 1.0, 1.3, 2.0):
+        for nr in range(4, 161):
+            sub = make_grid(GridSpec(R=R, Lz=1.0, nr=nr, nz=4)).radial_bands[0]
+            assert sub[1] == 0.0, (R, nr)
+
+
 def test_modified_laplacian_rejects_odd(grid16):
     with pytest.raises(ValueError):
         modified_laplacian(zeros_field(grid16, ODD))
