@@ -1,11 +1,14 @@
-"""Stream-function solve: -lap3(psi1) = om1.
+"""Stream-function solve: -lap3(psi1) = om1, in the grid's mode basis.
 
 Direct method: a real FFT along the periodic z direction diagonalizes the
-axial second difference, so mode k leaves M_k = B + mu_k I with
+axial differences, so mode k leaves M_k = B + mu_k I with
 mu_k = (2 - 2 cos(2 pi k / nz)) / dz^2 and B = -L_r the tridiagonal of
-grid.radial_bands, the coefficients modified_laplacian applies.  Every mode
-shares B, so one eigendecomposition per grid diagonalizes all of them (the
-matrix decomposition method of Lynch, Rice and Thomas 1964).  Rows 1..nr-1
+grid.radial_bands, the coefficients modified_laplacian applies; the
+centered d/dz acts on mode k as i s_k, s_k = sin(2 pi k / nz) / dz.
+Every mode shares B, so one eigendecomposition per grid diagonalizes all
+of them (the matrix decomposition method of Lynch, Rice and Thomas 1964).
+grid.modes, a ModeBasis built on first use and freed with the grid, holds
+mu_k, s_k and that eigendecomposition for every caller.  Rows 1..nr-1
 of B do not see row 0 (sub[1] is exactly 0); on them
 D B D^-1 = S is symmetric for d[i+1] / d[i] = sqrt(B[i, i+1] / B[i+1, i]),
 so B = V diag(lam) V^-1 with V = D^-1 Q and V^-1 = Q^T D from S = Q lam Q^T.
@@ -31,8 +34,6 @@ and mu_k - diag[0] is positive; the build checks that.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from .grid import (
@@ -42,13 +43,6 @@ from .grid import (
     modified_laplacian,
     norm_l2,
 )
-
-
-def mode_shifts(grid: Grid) -> np.ndarray:
-    """mu_k = (2 - 2 cos(2 pi k / nz)) / dz^2 of every rfft mode k: mode k
-    of -lap3 is M_k = -L_r + mu_k I, with L_r from grid.radial_bands."""
-    k = np.arange(grid.nz // 2 + 1)
-    return (2.0 - 2.0 * np.cos(2.0 * np.pi * k / grid.nz)) / (grid.dz * grid.dz)
 
 
 def _refine(dia: np.ndarray, off: np.ndarray, lam: np.ndarray, q: np.ndarray):
@@ -74,20 +68,26 @@ def _refine(dia: np.ndarray, off: np.ndarray, lam: np.ndarray, q: np.ndarray):
     return np.sum(y * ty, axis=0), y
 
 
-class _StreamFactor:
-    """Per-grid radial eigenbasis, mode diagonals and rfft buffer."""
+class ModeBasis:
+    """Per-grid mode basis of lap3, built through grid.modes: per rfft mode
+    k the symbols mu[k] and s[k]; the eigenpairs lam (float64), v = V and
+    vi = V^-1 of B[1:, 1:]; the solve's diagonal g, row-0 terms top and
+    sup0, and its rfft buffer.  It keeps no reference to its grid."""
 
     def __init__(self, grid: Grid):
         sub, diag, sup = grid.radial_bands
-        mu = mode_shifts(grid)
+        theta = 2.0 * np.pi * np.arange(grid.nz // 2 + 1) / grid.nz
+        self.mu = mu = (2.0 - 2.0 * np.cos(theta)) / (grid.dz * grid.dz)
+        self.s = np.sin(theta) / grid.dz
         ld, f8 = np.longdouble, np.float64
         up, lo = -sup[1:-1].astype(ld), -sub[2:].astype(ld)  # B[i, i+1], B[i+1, i]
         dia, off = -diag[1:].astype(ld), -np.sqrt(up * lo)  # S = D B D^-1
         d = np.cumprod(np.concatenate(([ld(1.0)], np.sqrt(up / lo))))
         s = np.diag(dia.astype(f8)) + np.diag(off.astype(f8), 1)
         lam, q = _refine(dia, off, *np.linalg.eigh(s, UPLO="U"))
+        self.lam = lam.astype(f8)
         self.v, self.vi = (q / d[:, None]).astype(f8), (q.T * d).astype(f8)
-        shifted, top = lam.astype(f8)[:, None] + mu, mu - diag[0]
+        shifted, top = self.lam[:, None] + mu, mu - diag[0]
         if not (np.all(shifted > 0.0) and np.all(top > 0.0)):
             raise RuntimeError("stream solver lost positivity")
         self.g = np.repeat(1.0 / shifted, 2, axis=1)  # one value per real column
@@ -106,24 +106,13 @@ class _StreamFactor:
         return np.fft.irfft(self.buffer, n=self.nz, axis=1)
 
 
-_factors: "weakref.WeakKeyDictionary[Grid, _StreamFactor]" = weakref.WeakKeyDictionary()
-
-
-def _factor_for(grid: Grid) -> _StreamFactor:
-    fac = _factors.get(grid)
-    if fac is None:
-        fac = _StreamFactor(grid)
-        _factors[grid] = fac
-    return fac
-
-
 def solve_stream(omega1: ScalarField) -> ScalarField:
     """Solve -lap3(psi1) = om1 with even axis parity and psi1(R) = 0."""
     if omega1.parity != EVEN:
         raise ValueError("solve_stream expects an even-parity source")
     if not np.all(np.isfinite(omega1.values)):
         raise ValueError("solve_stream: source contains non-finite values")
-    psi = _factor_for(omega1.grid).solve(omega1.values)
+    psi = omega1.grid.modes.solve(omega1.values)
     return ScalarField(omega1.grid, psi, EVEN)
 
 

@@ -65,7 +65,9 @@ class GridSpec:
 
 @dataclass(eq=False)
 class Grid:
-    """Realized mesh. Compare by identity; built via make_grid."""
+    """Realized mesh. Compare by identity; built via make_grid.  Its three
+    per-grid caches, built on first use and freed with the grid, are
+    radial_bands, work (a Workspace) and modes (an elliptic.ModeBasis)."""
 
     spec: GridSpec
     r: np.ndarray
@@ -101,6 +103,12 @@ class Grid:
     def work(self) -> "Workspace":
         """Scratch arrays and constants of the array kernels; see Workspace."""
         return Workspace(self)
+
+    @cached_property
+    def modes(self) -> "ModeBasis":
+        """Axial symbols and radial eigenbasis of lap3; see elliptic.ModeBasis."""
+        from .elliptic import ModeBasis  # elliptic imports this module
+        return ModeBasis(self)
 
     @property
     def nr(self) -> int:

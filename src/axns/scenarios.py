@@ -113,10 +113,10 @@ class ManufacturedSolution:
 
     def __init__(self, grid: Grid, factors: dict):
         self.grid = grid
-        self._factors = factors  # key -> [F_1, F_2, ...] sampled on grid
+        self._sampled = factors  # key -> [F_1, F_2, ...] sampled on grid
 
     def _eval(self, key: str, t: float) -> np.ndarray:
-        first, *rest = self._factors[key]
+        first, *rest = self._sampled[key]
         out = math.exp(-t) * first
         for m, factor in enumerate(rest, start=2):
             out += math.exp(-m * t) * factor

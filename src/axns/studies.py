@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .dynamics import SolverConfig, diffusive_dt, run, stable_dt, step
-from .elliptic import mode_shifts, solve_stream, stream_residual
+from .elliptic import solve_stream, stream_residual
 from .grid import (
     EVEN,
     Grid,
@@ -138,15 +138,14 @@ def divergence_study():
 def criteria_constant(grid: Grid) -> tuple[float, int, np.ndarray]:
     """Sharp constant C = sup critA / critB over all om1 on the grid, with the
     maximizing axial mode k and radial profile f: f(r) cos(2 pi k z / Lz)
-    attains C.  Solve and d_dz (symbol i s_k, s_k = sin(2 pi k / nz) / dz)
-    act per mode, and on mode k the sup of s_k^2 |M_k^-1 f|^2 / |r f|^2 is
-    s_k^2 / sigma_min(diag(r) M_k)^2, attained where r f is the left
-    singular vector of sigma_min."""
+    attains C.  Solve and d_dz act per mode (M_k = -L_r + mu_k I and i s_k,
+    mu and s from grid.modes), and on mode k the sup of s_k^2 |M_k^-1 f|^2
+    / |r f|^2 is s_k^2 / sigma_min(diag(r) M_k)^2, attained where r f is
+    the left singular vector of sigma_min."""
     sub, diag, sup = grid.radial_bands
-    mu = mode_shifts(grid)
+    mu, s = grid.modes.mu, grid.modes.s
     m = -(np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1))  # -L_r
     rm = grid.r[:, None] * (m + mu[:, None, None] * np.eye(grid.nr))  # diag(r) M_k per mode
-    s = np.sin(2.0 * np.pi * np.arange(mu.size) / grid.nz) / grid.dz
     ratios = s**2 / np.linalg.svd(rm, compute_uv=False)[:, -1] ** 2
     k = int(np.argmax(ratios))
     return float(ratios[k]), k, np.linalg.svd(rm[k])[0][:, -1] / grid.r

@@ -1,5 +1,6 @@
 """Stream-function solver: residuals, round trips, positivity, ratio checks."""
 
+import gc
 import math
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from axns.diagnostics import criterion_A, criterion_B
-from axns.elliptic import _factor_for, mode_shifts, solve_stream, stream_residual
+from axns.elliptic import solve_stream, stream_residual
 from axns.grid import (
     EVEN,
+    Grid,
     GridSpec,
     ScalarField,
+    d_dz_values,
     field_from_function,
     lap3_values,
     make_grid,
@@ -139,7 +142,7 @@ def test_criterion_b_closed_form():
 
 
 def test_factor_cache_reused(grid32):
-    assert _factor_for(grid32) is _factor_for(grid32)
+    assert grid32.modes is grid32.modes
 
 
 def column_thomas_solve(grid, rhs_values):
@@ -175,7 +178,7 @@ def test_cyclic_reduction_matches_thomas_reference(nr, nz):
     g = make_grid(GridSpec(R=1.0, Lz=1.3, nr=nr, nz=nz))
     source = np.random.default_rng(nr * 1000 + nz).standard_normal((nr, nz))
     want = column_thomas_solve(g, source)
-    got = _factor_for(g).solve(source)
+    got = g.modes.solve(source)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     om = ScalarField(g, source, EVEN)
     psi = solve_stream(om)
@@ -183,7 +186,7 @@ def test_cyclic_reduction_matches_thomas_reference(nr, nz):
     assert stream_residual(psi, om) <= 1e-12 * norm_l2(om)
     # bytes, so that a signed zero would show
     zero = np.zeros((nr, nz))
-    assert _factor_for(g).solve(zero).tobytes() == zero.tobytes()
+    assert g.modes.solve(zero).tobytes() == zero.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -197,8 +200,55 @@ def test_eigenbasis_matches_thomas_reference_for_every_nr(R, Lz, nz):
         g = make_grid(GridSpec(R=R, Lz=Lz, nr=nr, nz=nz))
         source = np.random.default_rng(nr * 1000 + nz).standard_normal((nr, nz))
         want = column_thomas_solve(g, source)
-        got = _factor_for(g).solve(source)
+        got = g.modes.solve(source)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), nr
+
+
+def test_mode_basis_pairs_are_eigenmodes_of_lap3():
+    # the top pair of B[1:, 1:] has lam = -diag[0] exactly, where the row-0
+    # entry sup[0] x_1 / (-diag[0] - lam) divides by zero, so it is skipped
+    for nr in range(4, 161):
+        g = make_grid(GridSpec(R=0.7, Lz=1.3, nr=nr, nz=8))
+        m = g.modes
+        _, diag, sup = g.radial_bands
+        for k in (1, 2):
+            cos = np.cos(2 * np.pi * k * g.z / 1.3)
+            sin = np.sin(2 * np.pi * k * g.z / 1.3)
+            ddz = d_dz_values(np.outer(np.ones(nr), cos), g.dz)
+            assert np.max(np.abs(ddz + m.s[k] * sin)) <= 1e-13 * m.s[k], (nr, k)
+            for i in sorted({0, 1, (nr - 1) // 2, nr - 3}):
+                vec = np.concatenate(
+                    ([sup[0] * m.v[0, i] / (-diag[0] - m.lam[i])], m.v[:, i])
+                )
+                f, ev = np.outer(vec, cos), m.lam[i] + m.mu[k]
+                scale = np.max(np.abs(f))
+                err = np.max(np.abs(-lap3_values(f, g) - ev * f))
+                assert err <= 1e-11 * ev * scale, (nr, k, i)
+                psi = solve_stream(ScalarField(g, f, EVEN)).values
+                assert np.max(np.abs(psi - f / ev)) <= 1e-13 * scale / ev, (nr, k, i)
+            e0, ev = np.outer(np.eye(nr)[0], cos), -diag[0] + m.mu[k]
+            assert np.max(np.abs(-lap3_values(e0, g) - ev * e0)) <= 1e-13 * ev, (nr, k)
+
+
+def test_grid_dies_on_del_after_solve_and_criteria_constant():
+    # grid.modes must not hold its grid: that cycle would keep each
+    # eigenbasis of an every-nr sweep alive until a gc pass.  With gc off,
+    # __del__ runs exactly when the last reference goes.
+    finalized = []
+
+    class Watched(Grid):
+        def __del__(self):
+            finalized.append(self.nr)
+
+    gc.disable()
+    try:
+        g = Watched(**vars(make_grid(GridSpec(R=1.0, Lz=1.3, nr=17, nz=12))))
+        solve_stream(ScalarField(g, np.ones((g.nr, g.nz)), EVEN))
+        criteria_constant(g)
+        del g
+        assert finalized == [17]
+    finally:
+        gc.enable()
 
 
 def test_solve_result_does_not_alias_the_grid_buffer(grid16, grid32, rng):
@@ -226,7 +276,7 @@ def test_mode_rows_are_the_modes_of_minus_lap3():
     g = make_grid(GridSpec(R=1.0, Lz=1.3, nr=17, nz=12))
     psi = np.random.default_rng(5).standard_normal((g.nr, g.nz))
     sub, diag, sup = g.radial_bands
-    b = -diag[:, None] + mode_shifts(g)[None, :]  # M_k = -L_r + mu_k I
+    b = -diag[:, None] + g.modes.mu[None, :]  # M_k = -L_r + mu_k I
     a, c = -sub[:, None], -sup[:, None]
     assert b.shape == (g.nr, g.nz // 2 + 1)
     assert a[0] == 0.0 and a[1] == 0.0 and c[-1] == 0.0
