@@ -1,8 +1,10 @@
 """Run configuration: flat ``key = value`` text, strict and fully checked.
 
-Unknown keys, duplicate keys, unparsable values, and out-of-domain values
-are all hard errors naming the offending key, so a config that parses is
-ready to run.  ``#`` starts a comment, full-line or trailing.
+Unknown keys, duplicate keys and unparsable values are hard errors naming
+the offending key.  Out-of-domain values are caught by GridSpec and
+SolverConfig, which check themselves when built, and re-raised here as
+ConfigError; so a config that parses is ready to run.  ``#`` starts a
+comment, full-line or trailing.
 
 Required: nu, R, Lz, nr, nz, cfl, t_end, scenario.
 Optional: output_every (10), s (4), forcing (off), amplitude (1),
@@ -20,46 +22,31 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration text."""
 
 
-_REQUIRED = ("nu", "R", "Lz", "nr", "nz", "cfl", "t_end", "scenario")
-_OPTIONAL = (
-    "output_every",
-    "s",
-    "forcing",
-    "amplitude",
-    "width",
-    "r_center",
-    "z_center",
-    "mode_k",
-)
-_FLOAT_KEYS = frozenset(
-    ("nu", "R", "Lz", "cfl", "t_end", "amplitude", "width", "r_center", "z_center")
-)
-_INT_KEYS = frozenset(("nr", "nz", "output_every", "s", "mode_k"))
+_SWITCH = {"on": True, "true": True, "off": False, "false": False}
 
-
-def _parse_value(key: str, raw: str):
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"key {key}: expected a number, got {raw!r}") from None
-    if key in _INT_KEYS:
-        try:
-            return int(raw, 10)
-        except ValueError:
-            raise ConfigError(f"key {key}: expected an integer, got {raw!r}") from None
-    if key == "forcing":
-        low = raw.lower()
-        if low in ("on", "true"):
-            return True
-        if low in ("off", "false"):
-            return False
-        raise ConfigError(f"key forcing: expected on or off, got {raw!r}")
-    return raw  # scenario name
+# key: (parser, what its error message expects); the first eight are required
+_KEYS = {
+    "nu": (float, "a number"),
+    "R": (float, "a number"),
+    "Lz": (float, "a number"),
+    "nr": (int, "an integer"),
+    "nz": (int, "an integer"),
+    "cfl": (float, "a number"),
+    "t_end": (float, "a number"),
+    "scenario": (str, "a scenario name"),
+    "output_every": (int, "an integer"),
+    "s": (int, "an integer"),
+    "forcing": (lambda raw: _SWITCH[raw.lower()], "on or off"),
+    "amplitude": (float, "a number"),
+    "width": (float, "a number"),
+    "r_center": (float, "a number"),
+    "z_center": (float, "a number"),
+    "mode_k": (int, "an integer"),
+}
+_REQUIRED = tuple(_KEYS)[:8]
 
 
 def parse_config(text: str) -> SolverConfig:
-    known = set(_REQUIRED) | set(_OPTIONAL)
     seen: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -68,39 +55,40 @@ def parse_config(text: str) -> SolverConfig:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in known:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not raw:
             raise ConfigError(f"key {key}: empty value")
-        seen[key] = _parse_value(key, raw)
+        parser, expected = _KEYS[key]
+        try:
+            seen[key] = parser(raw)
+        except (ValueError, KeyError):
+            raise ConfigError(f"key {key}: expected {expected}, got {raw!r}") from None
 
     missing = [k for k in _REQUIRED if k not in seen]
     if missing:
         raise ConfigError("missing required key(s): " + ", ".join(missing))
 
     R, Lz = seen["R"], seen["Lz"]
-    scenario = Scenario(
-        name=seen["scenario"],
-        amplitude=seen.get("amplitude", 1.0),
-        width=seen.get("width", R / 4.0),
-        r_center=seen.get("r_center", R / 2.0),
-        z_center=seen.get("z_center", Lz / 2.0),
-        mode_k=seen.get("mode_k", 1),
-    )
-    cfg = SolverConfig(
-        nu=seen["nu"],
-        cfl=seen["cfl"],
-        t_end=seen["t_end"],
-        grid=GridSpec(R=R, Lz=Lz, nr=seen["nr"], nz=seen["nz"]),
-        scenario=scenario,
-        output_every=seen.get("output_every", 10),
-        s=seen.get("s", 4),
-        forcing_enabled=seen.get("forcing", False),
-    )
     try:
-        cfg.validate()
+        return SolverConfig(
+            nu=seen["nu"],
+            cfl=seen["cfl"],
+            t_end=seen["t_end"],
+            grid=GridSpec(R=R, Lz=Lz, nr=seen["nr"], nz=seen["nz"]),
+            scenario=Scenario(
+                name=seen["scenario"],
+                amplitude=seen.get("amplitude", 1.0),
+                width=seen.get("width", R / 4.0),
+                r_center=seen.get("r_center", R / 2.0),
+                z_center=seen.get("z_center", Lz / 2.0),
+                mode_k=seen.get("mode_k", 1),
+            ),
+            output_every=seen.get("output_every", 10),
+            s=seen.get("s", 4),
+            forcing_enabled=seen.get("forcing", False),
+        )
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    return cfg

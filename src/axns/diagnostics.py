@@ -278,7 +278,7 @@ def instantaneous(state: State, s: int) -> dict:
         "cfz_grad": grad_sq(
             d_dr_values(cfz, g.dr, ODD, out=t1), d_dz_values(cfz, g.dz, out=t2)
         ),
-        "u1_l4": total(np.power(u, 4, out=t1)),
+        "u1_l4": total(np.square(np.multiply(u, u, out=t1), out=t1)),
         # -d_dz(u1) = om_r / r
         "phi_l2": math.sqrt(total(np.square(d_dz_values(u, g.dz, out=t1), out=t1))),
         "om1_l2": math.sqrt(total(np.multiply(om, om, out=t1))),

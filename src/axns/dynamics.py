@@ -13,7 +13,6 @@ with stage times (t, t + dt, t + dt/2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +30,11 @@ class BlowUpError(RuntimeError):
     """Raised when an update produces non-finite fields."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """The inputs of one run, checked when built and by dataclasses.replace:
+    the criteria are statements about viscous runs (nu > 0) with s >= 3."""
+
     nu: float
     cfl: float
     t_end: float
@@ -42,7 +44,7 @@ class SolverConfig:
     s: int = 4
     forcing_enabled: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (np.isfinite(self.nu) and self.nu > 0):
             raise ValueError(f"nu must be positive, got {self.nu}")
         if not (0.0 < self.cfl <= 1.0):
@@ -53,7 +55,6 @@ class SolverConfig:
             raise ValueError(f"output_every must be at least 1, got {self.output_every}")
         if self.s < 3:
             raise ValueError(f"s must be an integer >= 3, got {self.s}")
-        make_grid(self.grid)  # reuse grid validation
         self.scenario.validate(self.grid)
         if self.forcing_enabled and self.scenario.name != "manufactured":
             raise ValueError(f"forcing = on needs scenario manufactured, not {self.scenario.name}")
@@ -101,21 +102,19 @@ def diffusive_dt(g: Grid, nu: float) -> float:
 
 def stable_dt(state: State, cfg: SolverConfig) -> float:
     """Explicit step bound: cfl times the tightest of the diffusion limit
-    and the two advective limits, clamped to the remaining time.  Guards
-    with zero denominators are skipped.  v_r and v_z are formed in the
-    grid's workspace kernel buffers."""
+    and the two advective limits, clamped to the remaining time.  An
+    advective guard with zero velocity is skipped; the diffusion limit is
+    always finite, since a SolverConfig has nu > 0.  v_r and v_z are formed
+    in the grid's workspace kernel buffers."""
     g = state.grid
-    guards = []
-    if cfg.nu > 0:
-        guards.append(diffusive_dt(g, cfg.nu))
+    guards = [diffusive_dt(g, cfg.nu)]
     dpsi_dz, v_r, v_z = g.work.kernel[:3]
     velocity_values(g, state.psi1.values, dpsi_dz, v_r, v_z)
     for h, v in ((g.dr, v_r), (g.dz, v_z)):
         v_max = float(np.max(np.abs(v, out=v)))
         if v_max > 0:
             guards.append(h / v_max)
-    dt = cfg.cfl * min(guards) if guards else math.inf
-    return min(dt, cfg.t_end - state.t)
+    return min(cfg.cfl * min(guards), cfg.t_end - state.t)
 
 
 def step(state: State, dt: float, cfg: SolverConfig, forcing=None) -> State:
@@ -181,7 +180,6 @@ def run(cfg: SolverConfig, out_dir: str | None = None):
 
     Returns (final_state, series).
     """
-    cfg.validate()
     grid = make_grid(cfg.grid)
     forcing = None
     if cfg.forcing_enabled:

@@ -55,12 +55,23 @@ _PARITIES = (EVEN, ODD)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Mesh parameters: outer radius, axial period, radial and axial counts."""
+    """Mesh parameters: outer radius, axial period, radial and axial counts.
+    Checked when built, so every GridSpec names a valid cylinder."""
 
     R: float
     Lz: float
     nr: int
     nz: int
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.R) and self.R > 0):
+            raise ValueError(f"R must be a positive finite number, got {self.R}")
+        if not (np.isfinite(self.Lz) and self.Lz > 0):
+            raise ValueError(f"Lz must be a positive finite number, got {self.Lz}")
+        if self.nr < 4:
+            raise ValueError(f"nr must be at least 4, got {self.nr}")
+        if self.nz < 4 or self.nz % 2 != 0:
+            raise ValueError(f"nz must be even and at least 4, got {self.nz}")
 
 
 @dataclass(eq=False)
@@ -168,15 +179,7 @@ class Workspace:
 
 
 def make_grid(spec: GridSpec) -> Grid:
-    """Validate a GridSpec and build the mesh."""
-    if not (np.isfinite(spec.R) and spec.R > 0):
-        raise ValueError(f"R must be a positive finite number, got {spec.R}")
-    if not (np.isfinite(spec.Lz) and spec.Lz > 0):
-        raise ValueError(f"Lz must be a positive finite number, got {spec.Lz}")
-    if spec.nr < 4:
-        raise ValueError(f"nr must be at least 4, got {spec.nr}")
-    if spec.nz < 4 or spec.nz % 2 != 0:
-        raise ValueError(f"nz must be even and at least 4, got {spec.nz}")
+    """Build the mesh of a GridSpec, which checked itself when built."""
     dr = spec.R / spec.nr
     dz = spec.Lz / spec.nz
     r = (np.arange(spec.nr) + 0.5) * dr

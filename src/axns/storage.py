@@ -23,7 +23,7 @@ All writes, plots included, land in a uniquely named temporary file next
 to the target and are renamed into place, so a crash never leaves a
 partial file under the final name and two writers to one path never share
 a temporary file.  Snapshots with a non-finite t, nu or field value, or
-with a header grid that make_grid rejects, are refused with an error that
+with a header grid that GridSpec rejects, are refused with an error that
 names the file.
 """
 
@@ -96,8 +96,8 @@ def read_snapshot(path, grid: Grid | None = None) -> tuple[State, float]:
         raise ValueError(
             f"snapshot {path} has {len(buf)} bytes, header implies {expect}"
         )
-    spec = GridSpec(R=R, Lz=Lz, nr=nr, nz=nz)
     try:
+        spec = GridSpec(R=R, Lz=Lz, nr=nr, nz=nz)
         if grid is None or grid.spec != spec:
             grid = make_grid(spec)
         # u1, om1, psi1 in turn, each with the radial index varying fastest

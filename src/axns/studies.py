@@ -194,7 +194,6 @@ def dynamics_temporal_study():
     three-stage step."""
     nu, t_end = 0.05, 0.1
     cfg = _mms_config(32, nu, t_end, cfl=0.8)
-    cfg.validate()
     grid = make_grid(cfg.grid)
     forcing = manufactured_solution(grid, nu, cfg.scenario)
     n0 = max(4, math.ceil(t_end / (0.8 * diffusive_dt(grid, nu))))
@@ -255,7 +254,6 @@ def swirl_decay_error() -> float:
         scenario=Scenario(name="zero"),
         output_every=10_000_000,
     )
-    cfg.validate()
     grid = make_grid(cfg.grid)
     kap = 2.0 * np.pi / grid.spec.Lz
     u1 = field_from_function(grid, lambda r, z: eps * np.cos(kap * z) + 0.0 * r, EVEN)

@@ -1,3 +1,11 @@
+import os
+
+# numpy's BLAS pool reads these when numpy is first imported, which is
+# below; one thread, as in CI, keeps the per-grid eigh from oversubscribing
+# a shared machine
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import tracemalloc
 
 import hypothesis

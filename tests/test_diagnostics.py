@@ -259,7 +259,7 @@ def reference_instantaneous(state, s):
     cfz_l2 = integrate_volume(ScalarField(g, wfield.values**2, EVEN))
     gw_r, gw_z = d_dr(wfield).values, d_dz(wfield).values
     cfz_grad = integrate_volume(ScalarField(g, gw_r * gw_r + gw_z * gw_z, EVEN))
-    u1_l4 = integrate_volume(ScalarField(g, u**4, EVEN))
+    u1_l4 = integrate_volume(ScalarField(g, (u * u) ** 2, EVEN))
     phi_l2 = norm_l2(d_dz(state.u1))
     om1_l2 = norm_l2(state.omega1)
     go_r, go_z = d_dr(state.omega1).values, d_dz(state.omega1).values

@@ -1,11 +1,20 @@
 """Tendency assembly, step-size control, and the time loop."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from axns.dynamics import BlowUpError, SolverConfig, rhs, run, stable_dt, step
+from axns.dynamics import (
+    BlowUpError,
+    SolverConfig,
+    diffusive_dt,
+    rhs,
+    run,
+    stable_dt,
+    step,
+)
 from axns.elliptic import solve_stream
 from axns.grid import (
     EVEN,
@@ -205,7 +214,7 @@ def test_config_validation(kw):
     )
     base.update(kw)
     with pytest.raises(ValueError):
-        SolverConfig(**base).validate()
+        SolverConfig(**base)
 
 
 def test_rhs_pure_swirl_diffusion(grid64):
@@ -231,10 +240,7 @@ def test_rhs_vortex_stretching_source(grid64):
     g = grid64
     k = 2 * np.pi
     u1 = field_from_function(g, lambda r, z: np.cos(k * z) + 0 * r, EVEN)
-    cfg = swirl_cfg(GridSpec(R=1.0, Lz=1.0, nr=g.nr, nz=g.nz), nu=0.0)
-    cfg = SolverConfig(
-        nu=1.0, cfl=0.5, t_end=1.0, grid=cfg.grid, scenario=cfg.scenario
-    )
+    cfg = swirl_cfg(GridSpec(R=1.0, Lz=1.0, nr=g.nr, nz=g.nz), nu=1.0)
     _, dom1 = tendency(make_state(g, u1=u1), cfg, 0.0)
     ktil = math.sin(k * g.dz) / g.dz
     want = -ktil * np.sin(2 * k * g.z)[None, :] * np.ones((g.nr, 1))
@@ -294,12 +300,32 @@ def test_stable_dt_matches_reconstructed_velocity_guard(grid16x12, nu):
     assert stable_dt(state, cfg) == want
 
 
-def test_stable_dt_inviscid_rest_state_clamps():
-    # direct construction bypasses validate(), as for analytic decay checks
+def test_stable_dt_clamps_to_remaining_time():
+    # at rest only the diffusion limit, cfl h^2 / (4 nu) = 2^-9 here, is a
+    # guard; 2^-20 of time left binds exactly
     spec = GridSpec(R=1.0, Lz=1.0, nr=8, nz=8)
     g = make_grid(spec)
-    cfg = SolverConfig(nu=0.0, cfl=0.5, t_end=2.5, grid=spec)
-    assert stable_dt(make_state(g, t=1.0), cfg) == 1.5
+    cfg = SolverConfig(nu=1.0, cfl=0.5, t_end=1.0 + 2.0**-20, grid=spec)
+    assert 0.5 * diffusive_dt(g, 1.0) == 2.0**-9
+    assert stable_dt(make_state(g, t=1.0), cfg) == 2.0**-20
+
+
+@pytest.mark.parametrize(
+    "key,value", [("nu", 0.0), ("cfl", 2.0), ("s", 2)], ids=["nu0", "cfl2", "s2"]
+)
+def test_config_rejected_at_construction(key, value):
+    # a SolverConfig that exists is valid: the checks run when it is built,
+    # again under dataclasses.replace, and its fields cannot be reassigned
+    spec = GridSpec(R=1.0, Lz=1.0, nr=8, nz=8)
+    cfg = SolverConfig(nu=0.1, cfl=0.5, t_end=1.0, grid=spec)
+    with pytest.raises(ValueError, match=key):
+        SolverConfig(**{**vars(cfg), key: value})
+    with pytest.raises(ValueError, match=key):
+        dataclasses.replace(cfg, **{key: value})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, key, value)
+    with pytest.raises(ValueError, match="nr must be at least 4"):
+        GridSpec(R=1.0, Lz=1.0, nr=3, nz=8)
 
 
 def test_step_fixed_point(grid16):

@@ -161,7 +161,7 @@ def test_snapshot_rejects_non_finite_field(grid16, tmp_path, capsys, k, name):
     ids=["nr-1", "R0", "Rnan", "nz5"],
 )
 def test_snapshot_rejects_invalid_header_grid(tmp_path, capsys, nr, nz, R):
-    # the body has the size the header implies, so only make_grid objects
+    # the body has the size the header implies, so only GridSpec objects
     path = tmp_path / "snap_000000.axns"
     header = struct.pack("<4sBii4d", b"AXNS", 1, nr, nz, R, 1.0, 0.0, 0.1)
     path.write_bytes(header + bytes(3 * nr * nz * 8))
