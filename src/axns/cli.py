@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="path of the series CSV to write")
     p.add_argument("--p", type=_exponent, default=None, help="spatial exponent (or inf)")
     p.add_argument("--q", type=_exponent, default=None, help="temporal exponent (or inf)")
-    p.add_argument("--s", type=int, default=4, help="weighted swirl exponent, >= 3")
+    s_help = "weighted swirl exponent, >= 3 (a run samples at %(default)s)"
+    p.add_argument("--s", type=int, default=CriteriaSeries.s, help=s_help)
     p.set_defaults(fn=_cmd_criteria)
 
     p = sub.add_parser("verify", help="run invariant suites")
@@ -69,8 +70,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
-    if args.s < 3:
-        raise ConfigError(f"key s: must be at least 3, got {args.s}")
     p = args.p if args.p is not None else float(args.s)
     q = args.q if args.q is not None else float(args.s)
     for name, value in (("p", p), ("q", q)):

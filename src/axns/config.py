@@ -7,8 +7,8 @@ ConfigError; so a config that parses is ready to run.  ``#`` starts a
 comment, full-line or trailing.
 
 Required: nu, R, Lz, nr, nz, cfl, t_end, scenario.
-Optional: output_every (10), s (4), forcing (off), amplitude (1),
-mode_k (1), width (R/4), r_center (R/2), z_center (Lz/2).
+Optional: output_every (10), forcing (off), amplitude (1), mode_k (1),
+width (R/4), r_center (R/2), z_center (Lz/2).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ _KEYS = {
     "t_end": (float, "a number"),
     "scenario": (str, "a scenario name"),
     "output_every": (int, "an integer"),
-    "s": (int, "an integer"),
     "forcing": (lambda raw: _SWITCH[raw.lower()], "on or off"),
     "amplitude": (float, "a number"),
     "width": (float, "a number"),
@@ -87,7 +86,6 @@ def parse_config(text: str) -> SolverConfig:
                 mode_k=seen.get("mode_k", 1),
             ),
             output_every=seen.get("output_every", 10),
-            s=seen.get("s", 4),
             forcing_enabled=seen.get("forcing", False),
         )
     except ValueError as err:

@@ -89,7 +89,7 @@ class CriteriaSeries:
     """Monitor rows of one run, sampled at viscosity nu with swirl exponent s."""
 
     nu: float
-    s: int
+    s: int = 4
     rows: list[MonitorRow] = field(default_factory=list)
     _prev: dict | None = field(default=None, repr=False)
 

@@ -33,7 +33,7 @@ class BlowUpError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     """The inputs of one run, checked when built and by dataclasses.replace:
-    the criteria are statements about viscous runs (nu > 0) with s >= 3."""
+    the criteria are statements about viscous runs (nu > 0)."""
 
     nu: float
     cfl: float
@@ -41,7 +41,6 @@ class SolverConfig:
     grid: GridSpec
     scenario: Scenario = field(default_factory=lambda: Scenario(name="zero"))
     output_every: int = 10
-    s: int = 4
     forcing_enabled: bool = False
 
     def __post_init__(self) -> None:
@@ -53,8 +52,6 @@ class SolverConfig:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if self.output_every < 1:
             raise ValueError(f"output_every must be at least 1, got {self.output_every}")
-        if self.s < 3:
-            raise ValueError(f"s must be an integer >= 3, got {self.s}")
         self.scenario.validate(self.grid)
         if self.forcing_enabled and self.scenario.name != "manufactured":
             raise ValueError(f"forcing = on needs scenario manufactured, not {self.scenario.name}")
@@ -185,7 +182,7 @@ def run(cfg: SolverConfig, out_dir: str | None = None):
     if cfg.forcing_enabled:
         forcing = manufactured_solution(grid, cfg.nu, cfg.scenario)
     state = init_scenario(cfg.scenario, grid)
-    series = diagnostics.CriteriaSeries(nu=cfg.nu, s=cfg.s)
+    series = diagnostics.CriteriaSeries(nu=cfg.nu)
 
     out = None
     if out_dir is not None:

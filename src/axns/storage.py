@@ -159,11 +159,14 @@ def read_series(path) -> list[MonitorRow]:
 
 class RunWriter:
     """Per-run output layout: snapshots/snap_NNNNNN.axns, series.csv,
-    plots/*.svg (plots only once the series has at least two rows)."""
+    plots/*.svg (plots only once the series has at least two rows).  A
+    directory holds one run: one with snapshots is refused, not overwritten."""
 
     def __init__(self, out_dir, cfg):
         self.root = Path(out_dir)
         self.snap_dir = self.root / "snapshots"
+        if any(self.snap_dir.glob("*.axns")):
+            raise ValueError(f"{self.root} already holds a run's snapshots; use a new directory")
         self.snap_dir.mkdir(parents=True, exist_ok=True)
         self.nu = cfg.nu
         self._count = 0

@@ -237,7 +237,7 @@ def _offline_run():
     )
     with tempfile.TemporaryDirectory() as tmp:
         _, live = run(cfg, out_dir=tmp)
-        offline = CriteriaSeries(nu=cfg.nu, s=cfg.s)
+        offline = CriteriaSeries(nu=cfg.nu)
         for st, _ in read_snapshot_dir(Path(tmp) / "snapshots"):
             diagnostics.sample(st, offline)
         stored = read_series(Path(tmp) / "series.csv")
@@ -255,7 +255,7 @@ def _offline_matches_live():
     a, b = _table(live), _table(offline)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
     worst = float(np.max(np.abs(a - b) / scale))
-    return worst <= 1e-12, f"{len(live)} rows, worst rel diff {worst:.2e}"
+    return np.array_equal(a, b), f"{len(live)} rows, worst rel diff {worst:.2e}"
 
 
 def _csv_round_trip():

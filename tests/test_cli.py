@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, outputs, cross-path agreement."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -61,6 +62,16 @@ def test_csv_round_trip_check_rejects_truncated_series(monkeypatch):
     assert check.fn()[0] is False
 
 
+def test_offline_check_rejects_a_one_ulp_difference(monkeypatch):
+    # offline and live rows come from the same bits, so they must be equal
+    live, offline, stored = verify._offline_run()
+    nudged = dataclasses.replace(offline[-1], E=np.nextafter(offline[-1].E, np.inf))
+    monkeypatch.setattr(verify, "_offline_run", lambda: (live, offline[:-1] + [nudged], stored))
+    name = "offline recomputation from snapshots matches the live series"
+    check = next(c for c in CHECKS if c.name == name)
+    assert check.fn()[0] is False
+
+
 def test_run_produces_outputs(run_dir):
     assert (run_dir / "series.csv").exists()
     assert sorted((run_dir / "snapshots").glob("*.axns"))
@@ -113,6 +124,19 @@ def test_run_missing_config_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err
+
+
+def test_run_refuses_a_used_directory(tmp_path, capsys):
+    # a shorter rerun would leave the first run's later snapshots behind,
+    # and axns criteria would read both runs as one
+    out = tmp_path / "o"
+    for name, t_end in (("long.cfg", "0.02"), ("short.cfg", "0.01")):
+        (tmp_path / name).write_text(CONFIG.replace("t_end = 0.05", f"t_end = {t_end}"))
+    assert main(["run", "--config", str(tmp_path / "long.cfg"), "--out", str(out)]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert main(["run", "--config", str(tmp_path / "short.cfg"), "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def assert_same_outputs(a: Path, b: Path):
@@ -239,19 +263,11 @@ def test_criteria_memory_does_not_grow_with_snapshots(tmp_path, traced_peak):
 
 
 def test_criteria_rejects_small_s(run_dir, tmp_path, capsys):
-    code = main(
-        [
-            "criteria",
-            "--snapshots",
-            str(run_dir / "snapshots"),
-            "--out",
-            str(tmp_path / "x.csv"),
-            "--s",
-            "2",
-        ]
-    )
-    assert code == 2
-    assert "s" in capsys.readouterr().err
+    out_csv = tmp_path / "x.csv"
+    argv = ["criteria", "--snapshots", str(run_dir / "snapshots"), "--out", str(out_csv)]
+    assert main(argv + ["--s", "2"]) == 2
+    assert "s must be an integer >= 3, got 2" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_verify_unknown_suite_usage_error():

@@ -25,7 +25,7 @@ def test_minimal_config():
     assert cfg.grid.R == 1.0 and cfg.grid.nr == 64
     assert cfg.cfl == 0.5 and cfg.t_end == 1.0
     assert cfg.scenario.name == "gaussian_ring"
-    assert cfg.output_every == 10 and cfg.s == 4
+    assert cfg.output_every == 10
     assert cfg.forcing_enabled is False
 
 
@@ -44,12 +44,12 @@ MANUFACTURED = GOOD.replace("scenario = gaussian_ring", "scenario = manufactured
 
 def test_optional_overrides():
     text = MANUFACTURED + "width = 0.3\nr_center = 0.4\namplitude = 2.5\nmode_k = 2\n"
-    text += "output_every = 3\ns = 5\nforcing = on\n"
+    text += "output_every = 3\nforcing = on\n"
     cfg = parse_config(text)
     assert cfg.scenario.width == 0.3
     assert cfg.scenario.amplitude == 2.5
     assert cfg.scenario.mode_k == 2
-    assert cfg.output_every == 3 and cfg.s == 5
+    assert cfg.output_every == 3
     assert cfg.forcing_enabled is True
 
 
@@ -70,6 +70,14 @@ def test_unknown_key_rejected_with_line():
     with pytest.raises(ConfigError) as err:
         parse_config(GOOD + "wombat = 3\n")
     assert "wombat" in str(err.value)
+
+
+def test_s_is_not_a_key():
+    # a run samples ualpha_s at s = 4; axns criteria --s recomputes it at
+    # another s from the snapshots, so s is not a run input
+    with pytest.raises(ConfigError) as err:
+        parse_config(GOOD + "s = 4\n")
+    assert "unknown key 's'" in str(err.value)
 
 
 def test_duplicate_key_rejected():

@@ -205,7 +205,6 @@ def test_stable_dt_allocates_no_full_size_temporaries(grid64, traced_peak):
         dict(cfl=1.5),
         dict(t_end=-1.0),
         dict(output_every=0),
-        dict(s=2),
     ],
 )
 def test_config_validation(kw):
@@ -311,7 +310,7 @@ def test_stable_dt_clamps_to_remaining_time():
 
 
 @pytest.mark.parametrize(
-    "key,value", [("nu", 0.0), ("cfl", 2.0), ("s", 2)], ids=["nu0", "cfl2", "s2"]
+    "key,value", [("nu", 0.0), ("cfl", 2.0)], ids=["nu0", "cfl2"]
 )
 def test_config_rejected_at_construction(key, value):
     # a SolverConfig that exists is valid: the checks run when it is built,

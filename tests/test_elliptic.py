@@ -141,7 +141,7 @@ def test_criterion_b_closed_form():
     assert math.isclose(B, want, rel_tol=1e-13)
 
 
-def test_factor_cache_reused(grid32):
+def test_mode_basis_is_built_once_per_grid(grid32):
     assert grid32.modes is grid32.modes
 
 
@@ -272,7 +272,7 @@ def test_solve_result_does_not_alias_the_grid_buffer(grid16, grid32, rng):
             assert got.tobytes() == want.tobytes()
 
 
-def test_mode_rows_are_the_modes_of_minus_lap3():
+def test_bands_and_mu_are_the_modes_of_minus_lap3():
     g = make_grid(GridSpec(R=1.0, Lz=1.3, nr=17, nz=12))
     psi = np.random.default_rng(5).standard_normal((g.nr, g.nz))
     sub, diag, sup = g.radial_bands
