@@ -18,7 +18,8 @@ so an interrupted session keeps the runs it finished.  It holds:
                              one seed) the change was lower in, the median
                              relative change and the parent's IQR, and for
                              each end-to-end metric of BENCHMARK.json its
-                             bound and no_regression verdict (see verdict)
+                             bound, no_regression verdict (see verdict) and
+                             gain verdict (see gain)
     trace_summary            the same for --trace 1 runs, if any
     runs                     every process: side, seed, pair, position,
                              exit code, its result line and sample line
@@ -89,6 +90,18 @@ def verdict(parent: list[float], change: list[float], bound: float, better: str)
     return "ok" if sign * (cq[1] - pq[1]) <= bound * abs(pq[1]) else "regressed"
 
 
+def gain(parent: list[float], change: list[float], better: str) -> str:
+    """met if the change is better in at least nine tenths of the pairs
+    (ties count for neither side) and its median is better than the
+    parent's by more than the parent's IQR; else not_met."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * c < sign * p for p, c in zip(parent, change))
+    pq, cq = quartiles(parent), quartiles(change)
+    if 10 * wins >= 9 * len(parent) and sign * (pq[1] - cq[1]) > pq[2] - pq[0]:
+        return "met"
+    return "not_met"
+
+
 def summarize(runs: list[dict], workload: str, trace: int, end_to_end: list[dict]) -> dict:
     """Per-metric statistics of one workload's runs at one --trace value;
     end_to_end is BENCHMARK.json's list of {name, better, bound} entries."""
@@ -131,6 +144,7 @@ def summarize(runs: list[dict], workload: str, trace: int, end_to_end: list[dict
                 summary[name]["no_regression"] = verdict(
                     parent, change, e2e["bound"], e2e["better"]
                 )
+                summary[name]["gain"] = gain(parent, change, e2e["better"])
     return summary
 
 

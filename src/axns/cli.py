@@ -23,12 +23,6 @@ from .studies import observed_order, self_convergence_study
 from .verify import SUITES, run_suites
 
 
-def _exponent(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="axns",
@@ -44,8 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("criteria", help="recompute diagnostics from snapshots")
     p.add_argument("--snapshots", required=True, help="directory of .axns files")
     p.add_argument("--out", required=True, help="path of the series CSV to write")
-    p.add_argument("--p", type=_exponent, default=None, help="spatial exponent (or inf)")
-    p.add_argument("--q", type=_exponent, default=None, help="temporal exponent (or inf)")
+    p.add_argument("--p", type=float, default=None, help="spatial exponent (or inf)")
+    p.add_argument("--q", type=float, default=None, help="temporal exponent (or inf)")
     s_help = "weighted swirl exponent, >= 3 (a run samples at %(default)s)"
     p.add_argument("--s", type=int, default=CriteriaSeries.s, help=s_help)
     p.set_defaults(fn=_cmd_criteria)
@@ -70,11 +64,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
+    for name, value in (("p", args.p), ("q", args.q)):
+        if value is not None and not value >= 1.0:
+            raise ConfigError(f"key {name}: must be at least 1, got {value}")
+    # a default taken from s falls under instantaneous's s >= 3 rule
     p = args.p if args.p is not None else float(args.s)
     q = args.q if args.q is not None else float(args.s)
-    for name, value in (("p", p), ("q", q)):
-        if not value >= 1.0:
-            raise ConfigError(f"key {name}: must be at least 1, got {value}")
     # one snapshot in memory at a time; nothing is written until all are read
     series = None
     norms = []

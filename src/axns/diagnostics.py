@@ -201,9 +201,7 @@ def lpq_norm(samples: Sequence[tuple[float, float]], q: float) -> float:
         raise ValueError("lpq_norm: need at least 2 time samples for finite q")
     if math.isinf(q):
         return float(np.max(space))
-    vals = space**q
-    integral = float(np.sum(0.5 * np.diff(times) * (vals[1:] + vals[:-1])))
-    return integral ** (1.0 / q)
+    return float(np.trapezoid(space**q, times)) ** (1.0 / q)
 
 
 def omega1_budget(series: CriteriaSeries) -> tuple[np.ndarray, np.ndarray]:

@@ -164,7 +164,7 @@ def _mms_config(n: int, nu: float, t_end: float, cfl: float) -> SolverConfig:
         cfl=cfl,
         t_end=t_end,
         grid=GridSpec(R=1.0, Lz=1.0, nr=n, nz=n),
-        scenario=Scenario(name="manufactured", amplitude=1.0, mode_k=1),
+        scenario=Scenario(name="manufactured"),
         output_every=10_000_000,
         forcing_enabled=True,
     )

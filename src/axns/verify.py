@@ -64,14 +64,6 @@ class Check(NamedTuple):
     fn: Callable[[], tuple[bool, str]]
 
 
-def acceptance_scenario(name: str) -> Scenario:
-    if name == "gaussian_ring":
-        return Scenario(name=name, amplitude=1.0, width=0.25, r_center=0.5, z_center=0.5)
-    if name == "pure_swirl":
-        return Scenario(name=name, amplitude=1.0, width=0.25, r_center=0.5, mode_k=1)
-    raise ValueError(f"no reference run for scenario {name!r}")
-
-
 @cache
 def acceptance_run(name: str, nu: float):
     cfg = SolverConfig(
@@ -79,7 +71,7 @@ def acceptance_run(name: str, nu: float):
         cfl=0.5,
         t_end=1.0,
         grid=GridSpec(R=1.0, Lz=1.0, nr=64, nz=64),
-        scenario=acceptance_scenario(name),
+        scenario=Scenario(name=name),
         output_every=5,
     )
     final, series = run(cfg)
@@ -232,7 +224,7 @@ def _offline_run():
         cfl=0.5,
         t_end=0.05,
         grid=GridSpec(R=1.0, Lz=1.0, nr=32, nz=32),
-        scenario=Scenario(name="gaussian_ring", amplitude=1.0, width=0.25),
+        scenario=Scenario(name="gaussian_ring"),
         output_every=3,
     )
     with tempfile.TemporaryDirectory() as tmp:
@@ -313,9 +305,7 @@ def _energy_monotone(name, nu):
 def _energy_balance(name, nu):
     rows = _rows(name, nu)
     E0 = rows[0].E
-    t = np.array([r.t for r in rows])
-    D = np.array([r.D for r in rows])
-    diss = float(np.sum(0.5 * np.diff(t) * (D[1:] + D[:-1])))
+    diss = float(np.trapezoid([r.D for r in rows], [r.t for r in rows]))
     defect = abs(rows[-1].E - E0 + nu * diss)
     return defect <= 1e-3 * E0, f"defect {defect / E0:.2e} of E(0)"
 

@@ -12,12 +12,24 @@ import hypothesis
 import numpy as np
 import pytest
 
-from axns.grid import GridSpec, make_grid
+from axns.grid import GridSpec, make_grid, zeros_field
+from axns.kinematics import State
 
 hypothesis.settings.register_profile(
     "suite", deadline=None, max_examples=25, derandomize=True
 )
 hypothesis.settings.load_profile("suite")
+
+
+def make_state(grid, u1=None, om1=None, psi1=None, t=0.0):
+    """A State on grid with zero fields where none is given."""
+    z = zeros_field(grid)
+    return State(
+        u1=u1 if u1 is not None else z,
+        omega1=om1 if om1 is not None else z,
+        psi1=psi1 if psi1 is not None else z,
+        t=t,
+    )
 
 
 @pytest.fixture(scope="session")

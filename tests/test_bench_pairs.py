@@ -1,4 +1,4 @@
-"""The no_regression verdict of scripts/bench_pairs.py on synthetic runs."""
+"""The no_regression and gain verdicts of scripts/bench_pairs.py on synthetic runs."""
 
 import importlib.util
 from pathlib import Path
@@ -57,3 +57,32 @@ def test_summarize_gives_each_end_to_end_metric_a_verdict(name, parent, change, 
 def test_metrics_outside_end_to_end_get_no_verdict():
     summary = bench_pairs.summarize(_runs([1.0, 2.0], [3.0, 4.0], "other"), "w", 0, END_TO_END)
     assert "no_regression" not in summary["other"]
+    assert "gain" not in summary["other"]
+
+
+PARENT = [1.0, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+@pytest.mark.parametrize(
+    "name, parent, change, want",
+    [
+        # lower in 10 of 10 pairs, medians 1.045 vs 0.845, parent IQR 0.045
+        ("solve_s", PARENT, [p - 0.2 for p in PARENT], "met"),
+        # lower in 9 of 10 is enough
+        ("solve_s", PARENT, [p - 0.2 for p in PARENT[:9]] + [1.2], "met"),
+        # lower in 8, one tie: a tie counts for neither side
+        ("solve_s", PARENT, [p - 0.2 for p in PARENT[:8]] + [1.08, 1.2], "not_met"),
+        # lower in 9, one tie: still nine tenths of ten
+        ("solve_s", PARENT, [p - 0.2 for p in PARENT[:9]] + [1.09], "met"),
+        # lower in every pair, but by less than the parent's IQR
+        ("solve_s", PARENT, [p - 0.01 for p in PARENT], "not_met"),
+        # slower everywhere
+        ("solve_s", PARENT, [p + 0.2 for p in PARENT], "not_met"),
+        # higher is better: higher in every pair by more than the IQR
+        ("score", [10.0, 10.1, 10.2, 10.3], [11.0, 11.1, 11.2, 11.3], "met"),
+        ("score", [10.0, 10.1, 10.2, 10.3], [9.0, 9.1, 9.2, 9.3], "not_met"),
+    ],
+)
+def test_summarize_says_whether_a_gain_would_count(name, parent, change, want):
+    summary = bench_pairs.summarize(_runs(parent, change, name), "w", 0, END_TO_END)
+    assert summary[name]["gain"] == want

@@ -270,6 +270,17 @@ def test_criteria_rejects_small_s(run_dir, tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_criteria_blames_s_for_the_exponents_it_defaults(run_dir, tmp_path, capsys):
+    # p and q default to s, so --s 0 is an error in s, not in --p or --q
+    out_csv = tmp_path / "x.csv"
+    argv = ["criteria", "--snapshots", str(run_dir / "snapshots"), "--out", str(out_csv)]
+    assert main(argv + ["--s", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "s must be an integer >= 3, got 0" in err
+    assert "key p" not in err and "key q" not in err
+    assert not out_csv.exists()
+
+
 def test_verify_unknown_suite_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "nonsense"])

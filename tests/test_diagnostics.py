@@ -26,19 +26,9 @@ from axns.grid import (
     integrate_volume,
     make_grid,
     norm_l2,
-    zeros_field,
 )
 from axns.kinematics import State
-
-
-def make_state(grid, u1=None, om1=None, psi1=None, t=0.0):
-    z = zeros_field(grid)
-    return State(
-        u1=u1 if u1 is not None else z,
-        omega1=om1 if om1 is not None else z,
-        psi1=psi1 if psi1 is not None else z,
-        t=t,
-    )
+from conftest import make_state
 
 
 def const_u1_state(grid, c):

@@ -25,26 +25,16 @@ from axns.grid import (
     field_from_function,
     make_grid,
     modified_laplacian,
-    zeros_field,
 )
 from axns.kinematics import State, reconstruct_velocity
 from axns.scenarios import Scenario, init_scenario, manufactured_solution
 from axns.storage import read_snapshot
+from conftest import make_state
 
 
 def swirl_cfg(grid_spec, nu=1.0, cfl=0.5, t_end=1.0):
     return SolverConfig(
         nu=nu, cfl=cfl, t_end=t_end, grid=grid_spec, scenario=Scenario(name="zero")
-    )
-
-
-def make_state(grid, u1=None, om1=None, psi1=None, t=0.0):
-    z = zeros_field(grid)
-    return State(
-        u1=u1 if u1 is not None else z,
-        omega1=om1 if om1 is not None else z,
-        psi1=psi1 if psi1 is not None else z,
-        t=t,
     )
 
 

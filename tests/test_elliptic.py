@@ -174,7 +174,7 @@ def column_thomas_solve(grid, rhs_values):
     "nr, nz",
     [(16, 8), (17, 12), (64, 64), (4, 4), (5, 8), (7, 12), (33, 64), (100, 12)],
 )
-def test_cyclic_reduction_matches_thomas_reference(nr, nz):
+def test_mode_basis_solve_matches_thomas_reference(nr, nz):
     g = make_grid(GridSpec(R=1.0, Lz=1.3, nr=nr, nz=nz))
     source = np.random.default_rng(nr * 1000 + nz).standard_normal((nr, nz))
     want = column_thomas_solve(g, source)

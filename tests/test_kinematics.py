@@ -26,16 +26,7 @@ from axns.kinematics import (
     velocity_values,
 )
 from axns.studies import bump_field, random_bump_terms
-
-
-def make_state(grid, u1=None, om1=None, psi1=None, t=0.0):
-    z = zeros_field(grid)
-    return State(
-        u1=u1 if u1 is not None else z,
-        omega1=om1 if om1 is not None else z,
-        psi1=psi1 if psi1 is not None else z,
-        t=t,
-    )
+from conftest import make_state
 
 
 def test_state_validation(grid16, grid32):
