@@ -13,6 +13,8 @@ interleaved pair by pair.  The output file is rewritten after every run,
 so an interrupted session keeps the runs it finished.  It holds:
 
     what, command, machine   what was compared, how, and on what
+    src_sha256               per side, sha256 over the sorted src/**/*.py
+                             paths and their bytes: equal on an A/A run
     summary                  per workload and metric of the --trace 0 runs:
                              the quartiles of each side, the pairs (runs of
                              one seed) the change was lower in, the median
@@ -31,6 +33,7 @@ each from a fresh copy, since a run writes under its .perfbench/.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -41,6 +44,17 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+
+def src_hash(root: Path) -> str:
+    """sha256 of the tree's src/**/*.py: each relative path, its size and
+    its bytes, in sorted path order."""
+    digest = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -199,6 +213,7 @@ def main(argv=None) -> int:
         "command": "python3 perfbench/run.py --workload <w> --seed <s> "
         f"--seconds {args.seconds:g} --trace <t>, from a fresh copy of each checkout",
         "machine": machine(),
+        "src_sha256": {side: src_hash(root) for side, root in roots.items()},
         "summary": {},
         "runs": [],
     }

@@ -67,7 +67,7 @@ def _cmd_criteria(args) -> int:
     for name, value in (("p", args.p), ("q", args.q)):
         if value is not None and not value >= 1.0:
             raise ConfigError(f"key {name}: must be at least 1, got {value}")
-    # a default taken from s falls under instantaneous's s >= 3 rule
+    # a default taken from s falls under the s >= 3 rule of both paths below
     p = args.p if args.p is not None else float(args.s)
     q = args.q if args.q is not None else float(args.s)
     # one snapshot in memory at a time; nothing is written until all are read

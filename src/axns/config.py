@@ -7,8 +7,9 @@ ConfigError; so a config that parses is ready to run.  ``#`` starts a
 comment, full-line or trailing.
 
 Required: nu, R, Lz, nr, nz, cfl, t_end, scenario.
-Optional: output_every (10), forcing (off), amplitude (1), mode_k (1),
-width (R/4), r_center (R/2), z_center (Lz/2).
+Optional: output_every, forcing, amplitude, mode_k, width, r_center,
+z_center, passed on only when given: SolverConfig and Scenario own every
+default, and the ring and swirl geometry defaults scale with the cylinder.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ class ConfigError(ValueError):
 
 _SWITCH = {"on": True, "true": True, "off": False, "false": False}
 
-# key: (parser, what its error message expects); the first eight are required
+# key: (parser, what its error message expects); the first eight are
+# required, and the last five are fields of Scenario
 _KEYS = {
     "nu": (float, "a number"),
     "R": (float, "a number"),
@@ -42,7 +44,7 @@ _KEYS = {
     "z_center": (float, "a number"),
     "mode_k": (int, "an integer"),
 }
-_REQUIRED = tuple(_KEYS)[:8]
+_REQUIRED, _SHAPE = tuple(_KEYS)[:8], tuple(_KEYS)[-5:]
 
 
 def parse_config(text: str) -> SolverConfig:
@@ -70,23 +72,11 @@ def parse_config(text: str) -> SolverConfig:
     if missing:
         raise ConfigError("missing required key(s): " + ", ".join(missing))
 
-    R, Lz = seen["R"], seen["Lz"]
+    if "forcing" in seen:
+        seen["forcing_enabled"] = seen.pop("forcing")
+    shape = {key: seen.pop(key) for key in _SHAPE if key in seen}
     try:
-        return SolverConfig(
-            nu=seen["nu"],
-            cfl=seen["cfl"],
-            t_end=seen["t_end"],
-            grid=GridSpec(R=R, Lz=Lz, nr=seen["nr"], nz=seen["nz"]),
-            scenario=Scenario(
-                name=seen["scenario"],
-                amplitude=seen.get("amplitude", 1.0),
-                width=seen.get("width", R / 4.0),
-                r_center=seen.get("r_center", R / 2.0),
-                z_center=seen.get("z_center", Lz / 2.0),
-                mode_k=seen.get("mode_k", 1),
-            ),
-            output_every=seen.get("output_every", 10),
-            forcing_enabled=seen.get("forcing", False),
-        )
+        grid = GridSpec(seen.pop("R"), seen.pop("Lz"), seen.pop("nr"), seen.pop("nz"))
+        return SolverConfig(grid=grid, scenario=Scenario(seen.pop("scenario"), **shape), **seen)
     except ValueError as err:
         raise ConfigError(str(err)) from None

@@ -165,7 +165,12 @@ def quartic_check(state: State) -> tuple[float, float]:
 
 def _ualpha_integral(g: Grid, u: np.ndarray, s: int, p: float) -> float:
     """int |u_alpha|^p dx with u_alpha = r^(2 - 3/s) u1, summed as
-    r^((2s - 3) p / s) |u1|^p; the exponent is exactly 2s - 3 when p = s."""
+    r^((2s - 3) p / s) |u1|^p (the exponent is exactly 2s - 3 when p = s),
+    or max |u_alpha| for p = math.inf.  The criteria need s >= 3."""
+    if s < 3:
+        raise ValueError(f"s must be an integer >= 3, got {s}")
+    if math.isinf(p):
+        return float(np.max(np.abs(g.r[:, None] ** (2.0 - 3.0 / s) * u)))
     ws = g.work
     t = np.power(np.abs(u, out=ws.leaf[0]), p, out=ws.leaf[0])
     np.multiply(g.r[:, None] ** ((2.0 * s - 3.0) * p / s), t, out=t)
@@ -177,10 +182,8 @@ def ualpha_norm(state: State, s: int, p: float) -> float:
     p = math.inf gives max |u_alpha|."""
     if not p >= 1.0:
         raise ValueError(f"ualpha_norm: exponent p must be >= 1, got {p}")
-    g, u = state.grid, state.u1.values
-    if math.isinf(p):
-        return float(np.max(np.abs(g.r[:, None] ** (2.0 - 3.0 / s) * u)))
-    return _ualpha_integral(g, u, s, p) ** (1.0 / p)
+    norm = _ualpha_integral(state.grid, state.u1.values, s, p)
+    return norm if math.isinf(p) else norm ** (1.0 / p)
 
 
 def lpq_norm(samples: Sequence[tuple[float, float]], q: float) -> float:
@@ -231,8 +234,6 @@ def instantaneous(state: State, s: int) -> dict:
     a running integral <key>_int, by <key>; see the module docstring.  A
     non-finite entry (an overflow) raises ValueError.
     """
-    if s < 3:
-        raise ValueError(f"s must be an integer >= 3, got {s}")
     g = state.grid
     ws = g.work
     w = ws.quad_w

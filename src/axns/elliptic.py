@@ -8,10 +8,11 @@ centered d/dz acts on mode k as i s_k, s_k = sin(2 pi k / nz) / dz.
 Every mode shares B, so one eigendecomposition per grid diagonalizes all
 of them (the matrix decomposition method of Lynch, Rice and Thomas 1964).
 grid.modes, a ModeBasis built on first use and freed with the grid, holds
-mu_k, s_k and that eigendecomposition for every caller.  Rows 1..nr-1
-of B do not see row 0 (sub[1] is exactly 0); on them
-D B D^-1 = S is symmetric for d[i+1] / d[i] = sqrt(B[i, i+1] / B[i+1, i]),
-so B = V diag(lam) V^-1 with V = D^-1 Q and V^-1 = Q^T D from S = Q lam Q^T.
+mu_k, s_k and that eigendecomposition for every caller.  diag(w) B is
+symmetric for the r^3 measure w = grid.radial_weights: -lap3 is symmetric
+on rows 1.. in the measure 2 pi w dr dz, and w_0 = 0 is the algebraic form
+of sub[1] = 0.  On rows 1.., D = diag(sqrt(w)) makes S = D B D^-1 symmetric,
+and B = V diag(lam) V^-1 with V = D^-1 Q, V^-1 = Q^T D from S = Q lam Q^T.
 eigh's smallest lam carry an absolute error of about eps |S|, so the build
 refines every pair once in np.longdouble: one inverse-iteration sweep and
 a Rayleigh quotient.  A solve is one rfft into a per-grid buffer read as
@@ -19,7 +20,7 @@ real (nr, 2 modes), x[1:] = V (G * (V^-1 x[1:])) with G = 1 / (lam_i +
 mu_k), x[0] = (x[0] + sup[0] x[1]) / (mu_k - diag[0]), and one irfft that
 returns a fresh array.  The buffer makes a solve non-reentrant per grid.
 
-Results agree with a Thomas sweep to within 7.4e-14 of its max norm up to
+Results agree with a Thomas sweep to within 7.3e-14 of its max norm up to
 160 rows, 1.2e-13 at 256^2 and 3.3e-13 at 512 x 16, not bit for bit; the
 error grows with nr because D grows like r^(3/2).  Where np.longdouble is
 float64 (Windows, macOS arm64) the refinement runs in float64, and the
@@ -80,9 +81,8 @@ class ModeBasis:
         self.mu = mu = (2.0 - 2.0 * np.cos(theta)) / (grid.dz * grid.dz)
         self.s = np.sin(theta) / grid.dz
         ld, f8 = np.longdouble, np.float64
-        up, lo = -sup[1:-1].astype(ld), -sub[2:].astype(ld)  # B[i, i+1], B[i+1, i]
-        dia, off = -diag[1:].astype(ld), -np.sqrt(up * lo)  # S = D B D^-1
-        d = np.cumprod(np.concatenate(([ld(1.0)], np.sqrt(up / lo))))
+        d = np.sqrt(grid.radial_weights[1:].astype(ld))  # S = D B D^-1, D = diag(d)
+        dia, off = -diag[1:].astype(ld), -np.sqrt(sup[1:-1].astype(ld) * sub[2:])
         s = np.diag(dia.astype(f8)) + np.diag(off.astype(f8), 1)
         lam, q = _refine(dia, off, *np.linalg.eigh(s, UPLO="U"))
         self.lam = lam.astype(f8)

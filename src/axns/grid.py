@@ -93,9 +93,9 @@ class Grid:
         on even-parity fields, with the axis ghost folded into diag[0] and
         the Dirichlet wall ghost folded into diag[-1].  sub[1] = 1/dr^2 -
         3/(2 r_1 dr) with r_1 = 1.5 dr is exactly 0 (rounding can leave one
-        ulp), so it is written as 0 and row 1 does not see row 0.  Built on
-        first use and shared, read-only, by the operator application and by
-        the stream-function solver so that the two agree to the last bit.
+        ulp), so it is written as 0 and row 1 does not see row 0 (w_0 = 0 of
+        radial_weights is its algebraic form).  Built on first use, shared
+        read-only by lap3 and the stream solver so the two agree to the bit.
         """
         inv2 = 1.0 / (self.dr * self.dr)
         s = 3.0 / (2.0 * self.r * self.dr)
@@ -109,6 +109,11 @@ class Grid:
         for band in (sub, diag, sup):
             band.flags.writeable = False
         return sub, diag, sup
+
+    @property
+    def radial_weights(self) -> np.ndarray:
+        """w_i = r_{i-1/2} r_i r_{i+1/2}, the r^3 measure: diag(w) (-L_r) is symmetric."""
+        return self.r * (self.r * self.r - 0.25 * self.dr * self.dr)
 
     @cached_property
     def work(self) -> "Workspace":

@@ -50,36 +50,41 @@ SCENARIO_NAMES = ("zero", "pure_swirl", "gaussian_ring", "manufactured")
 
 @dataclass(frozen=True)
 class Scenario:
-    """Initial-condition family and its shape parameters."""
+    """Initial-condition family and its shape parameters; see geometry."""
 
     name: str
     amplitude: float = 1.0
-    width: float = 0.25
-    r_center: float = 0.5
-    z_center: float = 0.5
+    width: float | None = None
+    r_center: float | None = None
+    z_center: float | None = None
     mode_k: int = 1
+
+    def geometry(self, spec: GridSpec) -> tuple[float, float, float]:
+        """(width, r_center, z_center); a None is R/4, R/2 or Lz/2 of spec."""
+        given = (self.width, self.r_center, self.z_center)
+        default = (spec.R / 4.0, spec.R / 2.0, spec.Lz / 2.0)
+        return tuple(d if g is None else g for g, d in zip(given, default))
 
     def validate(self, spec: GridSpec) -> None:
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario {self.name!r}")
         if not (np.isfinite(self.amplitude)):
             raise ValueError("scenario amplitude must be finite")
-        if not (self.width > 0 and np.isfinite(self.width)):
+        width, r_center, z_center = self.geometry(spec)
+        if not (width > 0 and np.isfinite(width)):
             raise ValueError("scenario width must be positive")
-        if not (0.0 <= self.r_center <= spec.R):
-            raise ValueError(f"r_center {self.r_center} outside [0, R]")
-        if not (0.0 <= self.z_center <= spec.Lz):
-            raise ValueError(f"z_center {self.z_center} outside [0, Lz]")
+        if not (0.0 <= r_center <= spec.R):
+            raise ValueError(f"r_center {r_center} outside [0, R]")
+        if not (0.0 <= z_center <= spec.Lz):
+            raise ValueError(f"z_center {z_center} outside [0, Lz]")
         if self.mode_k < 1:
             raise ValueError(f"mode_k must be at least 1, got {self.mode_k}")
 
 
 def init_scenario(scenario: Scenario, grid: Grid) -> State:
     scenario.validate(grid.spec)
-    name = scenario.name
-    A = scenario.amplitude
-    w = scenario.width
-    rc, zc, k = scenario.r_center, scenario.z_center, scenario.mode_k
+    name, A, k = scenario.name, scenario.amplitude, scenario.mode_k
+    w, rc, zc = scenario.geometry(grid.spec)
     Lz = grid.spec.Lz
     r = grid.r[:, None]
     z = grid.z[None, :]

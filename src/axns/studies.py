@@ -251,7 +251,6 @@ def swirl_decay_error() -> float:
         cfl=0.5,
         t_end=t_end,
         grid=GridSpec(R=2.0, Lz=1.0, nr=64, nz=128),
-        scenario=Scenario(name="zero"),
         output_every=10_000_000,
     )
     grid = make_grid(cfg.grid)

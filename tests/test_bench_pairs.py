@@ -86,3 +86,30 @@ PARENT = [1.0, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
 def test_summarize_says_whether_a_gain_would_count(name, parent, change, want):
     summary = bench_pairs.summarize(_runs(parent, change, name), "w", 0, END_TO_END)
     assert summary[name]["gain"] == want
+
+
+def _tree(root, files):
+    for rel, text in files.items():
+        path = root / "src" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_src_hash_tells_trees_apart(tmp_path):
+    files = {"pkg/__init__.py": "", "pkg/a.py": "x = 1\n"}
+    a = _tree(tmp_path / "a", files)
+    b = _tree(tmp_path / "b", files)
+    # what is not a source file does not count
+    (b / "src" / "pkg" / "notes.txt").write_text("scratch")
+    (b / "README.md").write_text("other")
+    assert bench_pairs.src_hash(a) == bench_pairs.src_hash(b)
+    assert len(bench_pairs.src_hash(a)) == 64
+    (b / "src" / "pkg" / "a.py").write_text("x = 2\n")
+    assert bench_pairs.src_hash(a) != bench_pairs.src_hash(b)
+    # the same bytes under another name are another tree
+    c = _tree(tmp_path / "c", {"pkg/__init__.py": "", "pkg/b.py": "x = 1\n"})
+    assert bench_pairs.src_hash(a) != bench_pairs.src_hash(c)
+    # moving bytes from one file to the next is too
+    d = _tree(tmp_path / "d", {"pkg/__init__.py": "x = 1\n", "pkg/a.py": ""})
+    assert bench_pairs.src_hash(a) != bench_pairs.src_hash(d)

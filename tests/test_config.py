@@ -5,6 +5,7 @@ import math
 import pytest
 
 from axns.config import ConfigError, parse_config
+from axns.scenarios import Scenario
 
 GOOD = """
 # steady ring spin-down
@@ -32,9 +33,12 @@ def test_minimal_config():
 def test_scenario_geometry_defaults():
     cfg = parse_config(GOOD.replace("R       = 1.0", "R       = 2.0"))
     sc = cfg.scenario
-    assert math.isclose(sc.width, 0.5)      # R / 4
-    assert math.isclose(sc.r_center, 1.0)   # R / 2
-    assert math.isclose(sc.z_center, 0.5)   # Lz / 2
+    # the parser passes on no default: Scenario owns them, relative to R and Lz
+    assert sc == Scenario(name="gaussian_ring")
+    width, r_center, z_center = sc.geometry(cfg.grid)
+    assert math.isclose(width, 0.5)      # R / 4
+    assert math.isclose(r_center, 1.0)   # R / 2
+    assert math.isclose(z_center, 0.5)   # Lz / 2
     assert sc.mode_k == 1
 
 

@@ -28,6 +28,7 @@ from axns.grid import (
     norm_l2,
 )
 from axns.kinematics import State
+from axns.scenarios import Scenario, init_scenario
 from conftest import make_state
 
 
@@ -217,6 +218,17 @@ def test_weighted_swirl_closed_forms(grid64):
 def test_weighted_swirl_rejects_small_s(grid16):
     with pytest.raises(ValueError):
         dg.instantaneous(make_state(grid16), s=2)
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("s", [0, 2])
+def test_ualpha_norm_rejects_small_s(s, p):
+    # the rule instantaneous keeps, on every path of ualpha_norm; s = 0
+    # must not reach 3 / s
+    grid = make_grid(GridSpec(R=1.0, Lz=1.0, nr=8, nz=8))
+    state = init_scenario(Scenario(name="gaussian_ring"), grid)
+    with pytest.raises(ValueError, match=f"s must be an integer >= 3, got {s}$"):
+        dg.ualpha_norm(state, s, p)
 
 
 def reference_instantaneous(state, s):

@@ -225,6 +225,19 @@ def test_radial_band_sub1_is_exactly_zero():
             assert sub[1] == 0.0, (R, nr)
 
 
+def test_radial_weights_symmetrize_the_bands():
+    # diag(w) B is symmetric for B = -L_r: w_i sup[i] = w_{i+1} sub[i+1],
+    # and w_0 = 0 matches the exact zero of sub[1]
+    for R in (0.7, 1.0, 2.0):
+        for nr in range(4, 161):
+            g = make_grid(GridSpec(R=R, Lz=1.0, nr=nr, nz=4))
+            sub, _, sup = g.radial_bands
+            w = g.radial_weights
+            assert w[0] == 0.0, (R, nr)
+            upper, lower = w[:-1] * sup[:-1], w[1:] * sub[1:]
+            assert np.all(np.abs(upper - lower) <= 1e-14 * np.abs(upper)), (R, nr)
+
+
 def test_modified_laplacian_rejects_odd(grid16):
     with pytest.raises(ValueError):
         modified_laplacian(zeros_field(grid16, ODD))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from axns.diagnostics import instantaneous
+from axns.dynamics import SolverConfig
 from axns.elliptic import stream_residual
 from axns.grid import GridSpec, make_grid, norm_l2
 from axns import scenarios
@@ -55,6 +56,24 @@ def test_scenario_bounds_validation():
         Scenario(name="gaussian_ring", width=-0.1).validate(spec)
     with pytest.raises(ValueError):
         Scenario(name="gaussian_ring", r_center=2.0).validate(spec)
+
+
+@pytest.mark.parametrize("R, Lz", [(0.4, 1.0), (1.0, 0.4)])
+def test_default_config_builds_on_small_cylinders(R, Lz):
+    # the geometry defaults scale with the cylinder, so they always fit it
+    cfg = SolverConfig(nu=0.1, cfl=0.5, t_end=0.1, grid=GridSpec(R=R, Lz=Lz, nr=8, nz=8))
+    assert cfg.scenario.geometry(cfg.grid) == (R / 4.0, R / 2.0, Lz / 2.0)
+
+
+def test_geometry_defaults_are_relative_to_the_cylinder():
+    grid = make_grid(GridSpec(R=2.0, Lz=3.0, nr=16, nz=16))
+    implicit = init_scenario(Scenario(name="gaussian_ring"), grid)
+    explicit = init_scenario(
+        Scenario(name="gaussian_ring", width=0.5, r_center=1.0, z_center=1.5), grid
+    )
+    for a, b in ((implicit.u1, explicit.u1), (implicit.omega1, explicit.omega1),
+                 (implicit.psi1, explicit.psi1)):
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 def _unseparated_reference(R, Lz, A, k, nu):
