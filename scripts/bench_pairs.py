@@ -15,6 +15,8 @@ so an interrupted session keeps the runs it finished.  It holds:
     what, command, machine   what was compared, how, and on what
     src_sha256               per side, sha256 over the sorted src/**/*.py
                              paths and their bytes: equal on an A/A run
+    src_lines                per side, the newline count of the same files
+                             (what wc -l reports)
     summary                  per workload and metric of the --trace 0 runs:
                              the quartiles of each side, the pairs (runs of
                              one seed) the change was lower in, the median
@@ -46,15 +48,24 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
+def _src_files(root: Path) -> list[Path]:
+    return sorted((root / "src").rglob("*.py"))
+
+
 def src_hash(root: Path) -> str:
     """sha256 of the tree's src/**/*.py: each relative path, its size and
     its bytes, in sorted path order."""
     digest = hashlib.sha256()
-    for path in sorted((root / "src").rglob("*.py")):
+    for path in _src_files(root):
         data = path.read_bytes()
         digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
+
+
+def src_lines(root: Path) -> int:
+    """Newline count of the tree's src/**/*.py, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in _src_files(root))
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -214,6 +225,7 @@ def main(argv=None) -> int:
         f"--seconds {args.seconds:g} --trace <t>, from a fresh copy of each checkout",
         "machine": machine(),
         "src_sha256": {side: src_hash(root) for side, root in roots.items()},
+        "src_lines": {side: src_lines(root) for side, root in roots.items()},
         "summary": {},
         "runs": [],
     }

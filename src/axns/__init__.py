@@ -20,7 +20,6 @@ from .diagnostics import (
     instantaneous,
     lpq_norm,
     omega1_budget,
-    quartic_check,
     sample,
     ualpha_norm,
 )

@@ -71,11 +71,9 @@ def _cmd_criteria(args) -> int:
     p = args.p if args.p is not None else float(args.s)
     q = args.q if args.q is not None else float(args.s)
     # one snapshot in memory at a time; nothing is written until all are read
-    series = None
+    series = CriteriaSeries(s=args.s)
     norms = []
-    for state, nu in read_snapshot_dir(args.snapshots):
-        if series is None:
-            series = CriteriaSeries(nu=nu, s=args.s)
+    for state, _ in read_snapshot_dir(args.snapshots):
         row = diagnostics.sample(state, series)
         # with p = s the row's ualpha_s column is the integral ualpha_norm forms
         norm = row.ualpha_s ** (1.0 / p) if p == args.s else ualpha_norm(state, args.s, p)

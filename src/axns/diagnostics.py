@@ -20,7 +20,8 @@ One MonitorRow per sampled time, columns in this fixed order:
     quartic_lhs  int v_phi^4 dx
     quartic_rhs  swirl_sup^2 int u1^2 dx
 
-instantaneous(state, s) is the one place these formulas are written.  It
+instantaneous(state, s) is the one place these formulas are written and
+the only evaluator of a column; the acceptance checks read it too.  It
 takes each stencil once (the velocity from reconstruct_velocity, which
 leaves d_dz(psi1) in a workspace buffer, then d_dz of u1, and d_dr/d_dz
 of w and om1), forms (d_dz psi1)^2 once for critA and D, forms r^2 u1 and
@@ -29,8 +30,6 @@ against the workspace's full-size quad_w.  Each integrand is formed in a
 buffer of the grid's workspace (grid.work) and summed there, so a sample
 allocates only the velocity and one radial derivative.  One finiteness
 check on the finished entries replaces a check per integrand.
-criterion_A, criterion_B and quartic_check evaluate single columns for
-callers outside the series.
 
 No functional divides by r pointwise: the 1/r weights are absorbed into
 the reduced variables (v_r/r = -d_dz(psi1), v_phi/r = u1, om_phi/r = om1)
@@ -56,7 +55,7 @@ import math
 
 import numpy as np
 
-from .grid import ODD, Grid, d_dr, d_dr_values, d_dz, d_dz_values
+from .grid import ODD, Grid, d_dr, d_dr_values, d_dz_values
 from .kinematics import State, reconstruct_velocity
 
 
@@ -86,9 +85,8 @@ COLUMNS = tuple(f.name for f in dc_fields(MonitorRow))
 
 @dataclass
 class CriteriaSeries:
-    """Monitor rows of one run, sampled at viscosity nu with swirl exponent s."""
+    """Monitor rows of one run, sampled with swirl exponent s."""
 
-    nu: float
     s: int = 4
     rows: list[MonitorRow] = field(default_factory=list)
     _prev: dict | None = field(default=None, repr=False)
@@ -119,26 +117,6 @@ def _face_grad_sq(vals: np.ndarray, grid: Grid, wall_zero: bool) -> float:
     return float(total)
 
 
-def _criterion_a(g: Grid, dpz_sq: np.ndarray) -> float:
-    """critA from the node values dpz_sq of d_dz(psi1)^2."""
-    return float(2.0 * np.pi * g.dr * g.dz * np.sum(dpz_sq))
-
-
-def criterion_A(state: State) -> float:
-    """int v_r^2 / r^3 dx via the reduced form 2 pi int (d_dz psi1)^2 dr dz."""
-    dpz = d_dz(state.psi1).values
-    return _criterion_a(state.grid, np.multiply(dpz, dpz, out=dpz))
-
-
-def criterion_B(state: State) -> float:
-    """int om_phi^2 / r dx via 2 pi int r^2 om1^2 dr dz."""
-    g = state.grid
-    om = state.omega1.values
-    sq = np.multiply(g.work.r2, om, out=g.work.leaf[0])
-    sq *= om
-    return float(2.0 * np.pi * g.dr * g.dz * np.sum(sq))
-
-
 def _swirl_quartic(g: Grid, u: np.ndarray) -> tuple[float, float, float]:
     """(max |r^2 u1|, int v_phi^4 dx, (max |r^2 u1|)^2 int u1^2 dx).
 
@@ -155,12 +133,6 @@ def _swirl_quartic(g: Grid, u: np.ndarray) -> tuple[float, float, float]:
     lhs = float(np.sum(np.multiply(ws.quad_w, t, out=t)))
     np.multiply(m * m, usq, out=t)
     return m, lhs, float(np.sum(np.multiply(ws.quad_w, t, out=t)))
-
-
-def quartic_check(state: State) -> tuple[float, float]:
-    """Pointwise bound int v_phi^4 dx <= (max |r^2 u1|)^2 int u1^2 dx,
-    returned as (lhs, rhs)."""
-    return _swirl_quartic(state.grid, state.u1.values)[1:]
 
 
 def _ualpha_integral(g: Grid, u: np.ndarray, s: int, p: float) -> float:
@@ -207,25 +179,20 @@ def lpq_norm(samples: Sequence[tuple[float, float]], q: float) -> float:
     return float(np.trapezoid(space**q, times)) ** (1.0 / q)
 
 
-def omega1_budget(series: CriteriaSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Vorticity energy budget along the rows:
+def omega1_budget(rows: Sequence[MonitorRow], nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vorticity energy budget along the rows of a run at viscosity nu:
 
     lhs(t) = (1/2)||om1(t)||^2 + (nu/2) int_0^t ||grad om1||^2
     rhs(t) = (2/nu) int_0^t ||u1||_L4^4 + (1/2)||om1(0)||^2
 
-    with nu = series.nu.  The inequality lhs <= rhs holds for the continuum
-    system with slack; callers check it row by row with a small tolerance.
+    The inequality lhs <= rhs holds for the continuum system with slack;
+    callers check it row by row with a small tolerance.
     """
-    if not series.rows:
+    if not rows:
         raise ValueError("omega1_budget: empty series")
-    nu = series.nu
-    om0 = series.rows[0].om1_l2
-    lhs = np.array(
-        [0.5 * row.om1_l2**2 + 0.5 * nu * row.om1_grad_int for row in series.rows]
-    )
-    rhs = np.array(
-        [2.0 / nu * row.u1_l4_int + 0.5 * om0**2 for row in series.rows]
-    )
+    om0 = rows[0].om1_l2
+    lhs = np.array([0.5 * row.om1_l2**2 + 0.5 * nu * row.om1_grad_int for row in rows])
+    rhs = np.array([2.0 / nu * row.u1_l4_int + 0.5 * om0**2 for row in rows])
     return lhs, rhs
 
 
@@ -267,11 +234,13 @@ def instantaneous(state: State, s: int) -> dict:
     np.multiply(ws.r, u, out=cfz)
     cfz *= u
     sup, q_lhs, q_rhs = _swirl_quartic(g, u)
+    crit_b = np.multiply(ws.r2, om, out=ws.leaf[0])  # r^2 om1^2
+    crit_b *= om
     inst = {
         "E": energy,
         "D": dissipation,
-        "critA": _criterion_a(g, dpz_sq),
-        "critB": criterion_B(state),
+        "critA": float(2.0 * np.pi * g.dr * g.dz * np.sum(dpz_sq)),
+        "critB": float(2.0 * np.pi * g.dr * g.dz * np.sum(crit_b)),
         "swirl_sup": sup,
         "cfz_l2": total(np.square(cfz, out=t1)),
         "cfz_grad": grad_sq(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics, storage
 from .elliptic import solve_stream
-from .grid import EVEN, Grid, GridSpec, ScalarField, make_grid
+from .grid import EVEN, Grid, GridSpec, ScalarField, check_count, make_grid
 # d_dz is not called here: perfbench's self-test looks the name up in this module
 from .grid import d_dr_values, d_dz, d_dz_values, lap3_values  # noqa: F401
 from .kinematics import State, velocity_values
@@ -50,8 +50,7 @@ class SolverConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if self.output_every < 1:
-            raise ValueError(f"output_every must be at least 1, got {self.output_every}")
+        check_count("output_every", self.output_every, 1)
         self.scenario.validate(self.grid)
         if self.forcing_enabled and self.scenario.name != "manufactured":
             raise ValueError(f"forcing = on needs scenario manufactured, not {self.scenario.name}")
@@ -182,7 +181,7 @@ def run(cfg: SolverConfig, out_dir: str | None = None):
     if cfg.forcing_enabled:
         forcing = manufactured_solution(grid, cfg.nu, cfg.scenario)
     state = init_scenario(cfg.scenario, grid)
-    series = diagnostics.CriteriaSeries(nu=cfg.nu)
+    series = diagnostics.CriteriaSeries()
 
     out = None
     if out_dir is not None:

@@ -42,6 +42,7 @@ kernel leaves there is overwritten by the next kernel call on that grid.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +52,13 @@ EVEN = "even"
 ODD = "odd"
 
 _PARITIES = (EVEN, ODD)
+
+
+def check_count(name: str, value, least: int) -> None:
+    if not isinstance(value, numbers.Integral):  # numpy integers are Integral
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -68,10 +76,10 @@ class GridSpec:
             raise ValueError(f"R must be a positive finite number, got {self.R}")
         if not (np.isfinite(self.Lz) and self.Lz > 0):
             raise ValueError(f"Lz must be a positive finite number, got {self.Lz}")
-        if self.nr < 4:
-            raise ValueError(f"nr must be at least 4, got {self.nr}")
-        if self.nz < 4 or self.nz % 2 != 0:
-            raise ValueError(f"nz must be even and at least 4, got {self.nz}")
+        check_count("nr", self.nr, 4)
+        check_count("nz", self.nz, 4)
+        if self.nz % 2 != 0:
+            raise ValueError(f"nz must be even, got {self.nz}")
 
 
 @dataclass(eq=False)

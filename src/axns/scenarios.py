@@ -42,7 +42,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .elliptic import solve_stream
-from .grid import EVEN, Grid, GridSpec, ScalarField, zeros_field
+from .grid import EVEN, Grid, GridSpec, ScalarField, check_count, zeros_field
 from .kinematics import State
 
 SCENARIO_NAMES = ("zero", "pure_swirl", "gaussian_ring", "manufactured")
@@ -77,8 +77,7 @@ class Scenario:
             raise ValueError(f"r_center {r_center} outside [0, R]")
         if not (0.0 <= z_center <= spec.Lz):
             raise ValueError(f"z_center {z_center} outside [0, Lz]")
-        if self.mode_k < 1:
-            raise ValueError(f"mode_k must be at least 1, got {self.mode_k}")
+        check_count("mode_k", self.mode_k, 1)
 
 
 def init_scenario(scenario: Scenario, grid: Grid) -> State:

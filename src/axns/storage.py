@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 from collections.abc import Iterator
 from pathlib import Path
@@ -108,13 +109,19 @@ def read_snapshot(path, grid: Grid | None = None) -> tuple[State, float]:
     return state, nu
 
 
+def _name_order(path: Path) -> list:
+    parts = re.split(r"(\d+)", path.name)
+    return [int(part) if k % 2 else part for k, part in enumerate(parts)]
+
+
 def read_snapshot_dir(dirpath) -> Iterator[tuple[State, float]]:
-    """Yield (state, nu) for every *.axns file under dirpath, sorted by
-    name, reading one file at a time.  Each file is checked as it is read:
+    """Yield (state, nu) for every *.axns file under dirpath, sorted by name
+    with digit runs compared as numbers (snap_1000000 after snap_999999),
+    reading one file at a time.  Each file is checked as it is read:
     the sample times must increase and the grid and nu must be uniform.
     The states of one directory share one Grid, and with it the grid's
     stream factor and workspace."""
-    paths = sorted(Path(dirpath).glob("*.axns"))
+    paths = sorted(Path(dirpath).glob("*.axns"), key=_name_order)
     if not paths:
         raise ValueError(f"no snapshot files in {dirpath}")
     state, nu0 = read_snapshot(paths[0])

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import COLUMNS, CriteriaSeries, lpq_norm, omega1_budget, quartic_check
+from .diagnostics import COLUMNS, CriteriaSeries, instantaneous, lpq_norm, omega1_budget
 from .dynamics import SolverConfig, run
 from .elliptic import solve_stream, stream_residual
 from .grid import (
@@ -160,21 +160,20 @@ def _quartic():
     ]
     bad = 0
     for u1 in fields:
-        lhs, rhs = quartic_check(State(u1=u1, omega1=zero, psi1=zero, t=0.0))
-        bad += not lhs <= rhs
+        inst = instantaneous(State(u1=u1, omega1=zero, psi1=zero, t=0.0), 4)
+        bad += not inst["quartic_lhs"] <= inst["quartic_rhs"]
     return bad == 0, f"{bad} violations in 1000 bump and 1000 noise states"
 
 
-def _space_norm(f: ScalarField, p: float) -> float:
-    """||f||_{L_p} by the volume quadrature; max |f| for p = inf."""
-    if math.isinf(p):
-        return float(np.max(np.abs(f.values)))
-    return integrate_volume(ScalarField(f.grid, np.abs(f.values) ** p, EVEN)) ** (1.0 / p)
+def _swirl_state(g, c: float, s: int) -> State:
+    """A state whose weighted swirl r^(2 - 3/s) u1 is the constant c."""
+    u1 = np.repeat(c * g.r[:, None] ** (3.0 / s - 2.0), g.nz, axis=1)
+    return State(u1=ScalarField(g, u1, EVEN), omega1=zeros_field(g), psi1=zeros_field(g), t=0.0)
 
 
 def _lpq_constant():
-    """Every (p, q) pair on two constant series: on a 48x32 grid and on a
-    32x32 grid, each with its own value, sample times and horizon T."""
+    """Every (p, q) pair on constant ualpha_norm series at s = 3, 4, 7: on a
+    48x32 and a 32x32 grid, each with its own value, times and horizon T."""
     inf = math.inf
     pairs = (
         (2.0, 2.0),
@@ -190,13 +189,14 @@ def _lpq_constant():
     errs = []
     for nr, nz, c, times in ((48, 32, 1.375, (0.0, 0.44, 1.1)), (32, 32, 0.75, (0.0, 0.8, 2.0))):
         g = _grid(nr, nz)
-        f = ScalarField(g, np.full((nr, nz), c), EVEN)
         vol = np.pi * g.spec.R**2 * g.spec.Lz
-        for p, q in pairs:
-            vp = 1.0 if math.isinf(p) else vol ** (1.0 / p)
-            tq = 1.0 if math.isinf(q) else times[-1] ** (1.0 / q)
-            got = lpq_norm([(t, _space_norm(f, p)) for t in times], q)
-            errs.append(abs(got - c * vp * tq) / (c * vp * tq))
+        for s in (3, 4, 7):
+            st = _swirl_state(g, c, s)
+            for p, q in pairs:
+                vp = 1.0 if math.isinf(p) else vol ** (1.0 / p)
+                tq = 1.0 if math.isinf(q) else times[-1] ** (1.0 / q)
+                got = lpq_norm([(t, diagnostics.ualpha_norm(st, s, p)) for t in times], q)
+                errs.append(abs(got - c * vp * tq) / (c * vp * tq))
     return all(e <= 1e-12 for e in errs), f"worst rel err {max(errs):.2e}"
 
 
@@ -204,12 +204,10 @@ def _lpq_step():
     # two-level step in time: symmetric sampling makes the trapezoid exact
     g = _grid(48, 32)
     c1, c2, delta, T = 0.75, 1.5, 1e-3, 1.1
-    p, q = 2.0, 3.0
+    p, q, s = 2.0, 3.0, 4
     vol = float(np.sum(g.quad_w)) * g.nz
     times = ((0.0, c1), (T / 2 - delta, c1), (T / 2 + delta, c2), (T, c2))
-    samples = [
-        (t, _space_norm(ScalarField(g, np.full((g.nr, g.nz), c), EVEN), p)) for t, c in times
-    ]
+    samples = [(t, diagnostics.ualpha_norm(_swirl_state(g, c, s), s, p)) for t, c in times]
     got = lpq_norm(samples, q)
     expect = ((c1**q + c2**q) * vol ** (q / p) * T / 2.0) ** (1.0 / q)
     return abs(got - expect) <= 1e-12 * expect, f"rel err {abs(got - expect) / expect:.2e}"
@@ -229,7 +227,7 @@ def _offline_run():
     )
     with tempfile.TemporaryDirectory() as tmp:
         _, live = run(cfg, out_dir=tmp)
-        offline = CriteriaSeries(nu=cfg.nu)
+        offline = CriteriaSeries()
         for st, _ in read_snapshot_dir(Path(tmp) / "snapshots"):
             diagnostics.sample(st, offline)
         stored = read_series(Path(tmp) / "series.csv")
@@ -321,7 +319,7 @@ def _energy_drop(name, nu):
 
 
 def _vorticity_budget(name, nu):
-    lhs, rhs = omega1_budget(acceptance_run(name, nu)[2])
+    lhs, rhs = omega1_budget(_rows(name, nu), nu)
     excess = float(np.max(lhs - 1.01 * rhs))
     return bool(np.all(lhs <= 1.01 * rhs)), f"max excess {excess:.2e}"
 
@@ -348,12 +346,13 @@ def _run_ratio(name, nu):
 @cache
 def _sharp(n: int) -> tuple[float, int, float]:
     """(C_n, k, rel): criteria_constant on the n x n grid, and the relative
-    distance from C_n of critA / critB of its maximizer via solve_stream."""
+    distance from C_n of critA / critB of its maximizer via instantaneous."""
     g = _grid(n, n)
     C, k, profile = criteria_constant(g)
     om1 = ScalarField(g, np.outer(profile, np.cos(2.0 * np.pi * k * g.z / g.spec.Lz)), EVEN)
     st = State(u1=zeros_field(g), omega1=om1, psi1=solve_stream(om1), t=0.0)
-    return C, k, abs(diagnostics.criterion_A(st) / diagnostics.criterion_B(st) - C) / C
+    inst = instantaneous(st, 4)
+    return C, k, abs(inst["critA"] / inst["critB"] - C) / C
 
 
 def _sharp_detail() -> str:

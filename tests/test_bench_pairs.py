@@ -113,3 +113,7 @@ def test_src_hash_tells_trees_apart(tmp_path):
     # moving bytes from one file to the next is too
     d = _tree(tmp_path / "d", {"pkg/__init__.py": "x = 1\n", "pkg/a.py": ""})
     assert bench_pairs.src_hash(a) != bench_pairs.src_hash(d)
+    # src_lines counts newlines over the same files, as wc -l does
+    assert bench_pairs.src_lines(a) == bench_pairs.src_lines(d) == 1
+    (b / "src" / "pkg" / "a.py").write_text("x = 2\ny = 3\nz = 4")
+    assert bench_pairs.src_lines(b) == 2

@@ -317,6 +317,28 @@ def test_config_rejected_at_construction(key, value):
         GridSpec(R=1.0, Lz=1.0, nr=3, nz=8)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("nr", 8.0), ("nz", np.float64(8)), ("output_every", 2.5), ("mode_k", 1.5)],
+)
+def test_counts_must_be_integers(field, value):
+    # the parser's int() never lets these through; construction and
+    # dataclasses.replace must not either, while numpy integers still pass
+    spec = GridSpec(R=1.0, Lz=1.0, nr=np.int64(8), nz=np.int64(8))
+    sc = Scenario("pure_swirl", mode_k=np.int64(2))
+    cfg = SolverConfig(
+        nu=0.1, cfl=0.5, t_end=1.0, grid=spec, scenario=sc, output_every=np.int64(3)
+    )
+    init_scenario(sc, make_grid(spec))
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        if field in ("nr", "nz"):
+            dataclasses.replace(spec, **{field: value})
+        elif field == "mode_k":
+            dataclasses.replace(cfg, scenario=dataclasses.replace(sc, mode_k=value))
+        else:
+            dataclasses.replace(cfg, **{field: value})
+
+
 def test_step_fixed_point(grid16):
     spec = GridSpec(R=1.0, Lz=1.0, nr=grid16.nr, nz=grid16.nz)
     cfg = swirl_cfg(spec, nu=0.3)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from axns.diagnostics import criterion_A, criterion_B
+from axns.diagnostics import instantaneous
 from axns.elliptic import solve_stream, stream_residual
 from axns.grid import (
     EVEN,
@@ -35,7 +35,8 @@ from axns.studies import (
 def criteria_pair(om):
     """(A, B) of the state whose stream function solves for om."""
     state = State(u1=zeros_field(om.grid), omega1=om, psi1=solve_stream(om), t=0.0)
-    return criterion_A(state), criterion_B(state)
+    inst = instantaneous(state, 4)
+    return inst["critA"], inst["critB"]
 
 
 def test_zero_source(grid32):

@@ -105,6 +105,13 @@ def test_snapshot_dir_ordering_and_checks(grid16, tmp_path, rng):
         list(storage.read_snapshot_dir(tmp_path))
 
 
+def test_snapshot_dir_orders_by_number(grid16, tmp_path):
+    # RunWriter's six-digit names grow a seventh digit after snapshot 999999
+    storage.write_snapshot(make_state(grid16, t=0.5), tmp_path / "snap_1000000.axns", nu=0.1)
+    storage.write_snapshot(make_state(grid16, t=0.0), tmp_path / "snap_999999.axns", nu=0.1)
+    assert [s.t for s, _ in storage.read_snapshot_dir(tmp_path)] == [0.0, 0.5]
+
+
 def test_snapshot_dir_mixed_nu(grid16, grid32, tmp_path):
     # a second nu, then a second grid; `axns criteria` refuses both
     cases = ((grid16, 0.2, "0.1 and 0.2"), (grid32, 0.1, f"{grid16.spec} and {grid32.spec}"))
@@ -179,7 +186,7 @@ def test_snapshot_dir_empty(tmp_path):
 
 
 def test_series_round_trip_value_exact(grid32, tmp_path, rng):
-    series = dg.CriteriaSeries(nu=0.3, s=4)
+    series = dg.CriteriaSeries(s=4)
     for t in (0.0, 0.5, 1.25):
         dg.sample(make_state(grid32, rng, t=t), series)
     path = tmp_path / "series.csv"
@@ -194,7 +201,7 @@ def test_series_round_trip_value_exact(grid32, tmp_path, rng):
 
 def test_series_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
-        storage.write_series(dg.CriteriaSeries(nu=0.1, s=4), tmp_path / "s.csv")
+        storage.write_series(dg.CriteriaSeries(s=4), tmp_path / "s.csv")
 
 
 def test_series_rejects_foreign_header(tmp_path):

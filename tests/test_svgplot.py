@@ -17,7 +17,7 @@ def zero_state(grid, t):
 
 
 def series_of(grid, times, state_fn):
-    series = dg.CriteriaSeries(nu=0.1, s=4)
+    series = dg.CriteriaSeries(s=4)
     for t in times:
         dg.sample(state_fn(grid, t), series)
     return series
