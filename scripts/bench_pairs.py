@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument(
         "--append", action="store_true",
-        help="add the runs to an existing --out file (say, --trace 1 runs)",
+        help="add the runs to an existing --out file (say, --trace 1 runs) of the same trees",
     )
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -230,7 +230,13 @@ def main(argv=None) -> int:
         "runs": [],
     }
     if args.append:
-        record = json.loads(args.out.read_text(encoding="utf-8"))
+        old = json.loads(args.out.read_text(encoding="utf-8"))
+        for side in SIDES:
+            if old["src_sha256"][side] != record["src_sha256"][side]:
+                print(f"{side}: src/ differs from the tree the runs in {args.out} "
+                      "came from; write a new --out file", file=sys.stderr)
+                return 2
+        record = old
     for pair in range(args.pairs):
         seed = args.seed + pair
         order = SIDES if pair % 2 == 0 else SIDES[::-1]

@@ -24,12 +24,20 @@ instantaneous(state, s) is the one place these formulas are written and
 the only evaluator of a column; the acceptance checks read it too.  It
 takes each stencil once (the velocity from reconstruct_velocity, which
 leaves d_dz(psi1) in a workspace buffer, then d_dz of u1, and d_dr/d_dz
-of w and om1), forms (d_dz psi1)^2 once for critA and D, forms r^2 u1 and
-its maximum once for swirl_sup and quartic_rhs, and sums raw node values
-against the workspace's full-size quad_w.  Each integrand is formed in a
-buffer of the grid's workspace (grid.work) and summed there, so a sample
-allocates only the velocity and one radial derivative.  One finiteness
-check on the finished entries replaces a check per integrand.
+of w and om1), and forms r^2 u1 and its maximum once for swirl_sup and
+quartic_rhs.  Every weight is a function of r alone, so every integral
+is one quadrature: the integrand is summed along z into one value per
+ring (grid.ring_sums, which squares in the same pass), and the nr sums
+are dotted with an r-only weight such as quad_w, quad_w r^2 or
+quad_w r^(2s - 3); face differences are scaled by 1/h^2 once, on the
+sums.  Integrands that differ by a power of r share their sums:
+sum (d_dz psi1)^2 serves critA, D and v_r^2 in E; sum u1^2 serves D and
+v_phi^2 in E; sum u1^4 serves u1_l4 and cfz_l2; sum om1^2 serves om1_l2
+and critB.  The quartic pair is formed elementwise and reduced by one
+path.  The integrands live in buffers of the grid's workspace
+(grid.work), so a sample allocates only the velocity and one radial
+derivative.  One finiteness check on the finished entries replaces a
+check per integrand.
 
 No functional divides by r pointwise: the 1/r weights are absorbed into
 the reduced variables (v_r/r = -d_dz(psi1), v_phi/r = u1, om_phi/r = om1)
@@ -55,7 +63,7 @@ import math
 
 import numpy as np
 
-from .grid import ODD, Grid, d_dr, d_dr_values, d_dz_values
+from .grid import ODD, Grid, d_dr, d_dr_values, d_dz_values, ring_sums
 from .kinematics import State, reconstruct_velocity
 
 
@@ -94,45 +102,37 @@ class CriteriaSeries:
 
 def _face_grad_sq(vals: np.ndarray, grid: Grid, wall_zero: bool) -> float:
     """int |grad f|^2 dx from face differences; see the module docstring."""
-    ws = grid.work
-    d, sq = ws.leaf[1], ws.leaf[2]
+    d = grid.work.leaf[1]
     # axial faces along the flattened C-ordered array (as d_dz_values
     # does), then the last column again, across the periodic wrap
     vals = np.ascontiguousarray(vals)
     np.subtract(vals.reshape(-1)[1:], vals.reshape(-1)[:-1], out=d.reshape(-1)[:-1])
     np.subtract(vals[:, 0], vals[:, -1], out=d[:, -1])
-    d /= grid.dz
-    np.multiply(ws.quad_w, d, out=sq)
-    total = np.sum(np.multiply(sq, d, out=sq))
-    dr, sqr = d[:-1], sq[:-1]  # the nr - 1 interior radial faces
-    np.subtract(vals[1:], vals[:-1], out=dr)
-    dr /= grid.dr
-    np.multiply(ws.face_w, dr, out=sqr)
-    total += np.sum(np.multiply(sqr, dr, out=sqr))
-    if wall_zero:
-        half = 0.5 * grid.dr
-        w_wall = 2.0 * np.pi * grid.spec.R * half * grid.dz
-        dwall = vals[-1] / half
-        total += w_wall * np.sum(dwall * dwall)
+    total = grid.quad_w @ ring_sums(d, d) / grid.dz**2
+    # the nr - 1 interior radial faces r_{i+1/2}, weight 2 pi r dr dz, and
+    # for wall_zero the half-cell difference vals[-1] / (dr / 2) at the
+    # wall, weight 2 pi R (dr / 2) dz: 2 R on the scale of the faces' r
+    np.subtract(vals[1:], vals[:-1], out=d[:-1])
+    d[-1] = vals[-1]
+    n = grid.nr if wall_zero else grid.nr - 1
+    r_face = np.append(grid.r[:-1] + 0.5 * grid.dr, 2.0 * grid.spec.R)[:n]
+    total += 2.0 * np.pi * grid.dz / grid.dr * (r_face @ ring_sums(d[:n], d[:n]))
     return float(total)
 
 
-def _swirl_quartic(g: Grid, u: np.ndarray) -> tuple[float, float, float]:
-    """(max |r^2 u1|, int v_phi^4 dx, (max |r^2 u1|)^2 int u1^2 dx).
-
-    Both integrals are assembled elementwise with the same weights and
-    summed by the same reduction, so lhs <= rhs survives rounding exactly.
-    """
+def _swirl_quartic(g: Grid, u: np.ndarray, usq: np.ndarray) -> tuple[float, float, float]:
+    """(max |r^2 u1|, int v_phi^4 dx, (max |r^2 u1|)^2 int u1^2 dx), with
+    usq = u1^2.  Both integrands are formed elementwise and reduced by the
+    same path, so lhs <= rhs survives rounding exactly."""
     ws = g.work
-    a, usq, t = ws.leaf
+    a, t = ws.leaf[0], ws.leaf[2]
     np.multiply(ws.r2, u, out=a)
-    np.multiply(u, u, out=usq)
     m = float(np.max(np.abs(a, out=t)))
     np.multiply(a, a, out=t)
     t *= usq
-    lhs = float(np.sum(np.multiply(ws.quad_w, t, out=t)))
+    lhs = float(g.quad_w @ ring_sums(t))
     np.multiply(m * m, usq, out=t)
-    return m, lhs, float(np.sum(np.multiply(ws.quad_w, t, out=t)))
+    return m, lhs, float(g.quad_w @ ring_sums(t))
 
 
 def _ualpha_integral(g: Grid, u: np.ndarray, s: int, p: float) -> float:
@@ -144,9 +144,18 @@ def _ualpha_integral(g: Grid, u: np.ndarray, s: int, p: float) -> float:
     if math.isinf(p):
         return float(np.max(np.abs(g.r[:, None] ** (2.0 - 3.0 / s) * u)))
     ws = g.work
-    t = np.power(np.abs(u, out=ws.leaf[0]), p, out=ws.leaf[0])
-    np.multiply(g.r[:, None] ** ((2.0 * s - 3.0) * p / s), t, out=t)
-    return float(np.sum(np.multiply(t, ws.quad_w, out=t)))
+    a = np.abs(u, out=ws.leaf[0])
+    # for small integer p a few multiplications cost less than np.power:
+    # |u1|^p = x y with x = |u1|^(p // 2) and y = x or x |u1|
+    if p in range(2, 9):
+        x = ws.leaf[1]
+        x[...] = a
+        for _ in range(int(p) // 2 - 1):
+            x *= a
+        sums = ring_sums(x, x if p % 2 == 0 else np.multiply(x, a, out=ws.leaf[2]))
+    else:
+        sums = ring_sums(np.power(a, p, out=a))
+    return float((g.quad_w * g.r ** ((2.0 * s - 3.0) * p / s)) @ sums)
 
 
 def ualpha_norm(state: State, s: int, p: float) -> float:
@@ -203,56 +212,54 @@ def instantaneous(state: State, s: int) -> dict:
     """
     g = state.grid
     ws = g.work
-    w = ws.quad_w
+    w, r2 = g.quad_w, g.r**2
+    w_r2 = w * r2
     u = state.u1.values
     om = state.omega1.values
-    t1, t2, dpz, cfz = ws.kernel[:4]
+    t1, t2, dpz, usq = ws.kernel[:4]
 
-    def total(x):  # int x dx, with the integrand x * w formed over x
-        return float(np.sum(np.multiply(x, w, out=x)))
-
-    def grad_sq(d_r, d_z):  # int d_r^2 + d_z^2 dx, formed over d_r and d_z
-        np.multiply(d_r, d_r, out=d_r)
-        d_r += np.multiply(d_z, d_z, out=d_z)
-        return total(d_r)
+    def sq_sum(x):  # int x^2 dx
+        return w @ ring_sums(x, x)
 
     vel = reconstruct_velocity(state, dpz)  # dpz = d_dz(psi1) = -v_r / r
     vr, vphi, vz = vel.v_r.values, vel.v_phi.values, vel.v_z.values
-    np.multiply(vr, vr, out=t1)
-    t1 += np.multiply(vphi, vphi, out=t2)
-    t1 += np.multiply(vz, vz, out=t2)
-    energy = 0.5 * total(t1)
     dissipation = (
         _face_grad_sq(vr, g, wall_zero=True)
         + _face_grad_sq(vphi, g, wall_zero=True)
         + _face_grad_sq(vz, g, wall_zero=False)
     )
+    vz_sums = ring_sums(vz, vz)
     del vel, vr, vphi, vz  # freed before d_dr(omega1) below allocates
-    dpz_sq = np.multiply(dpz, dpz, out=dpz)  # (v_r / r)^2, also critA's
-    dissipation += total(np.add(dpz_sq, np.multiply(u, u, out=t2), out=t1))
+    np.multiply(u, u, out=usq)
+    dpz_sums = ring_sums(dpz, dpz)  # (v_r / r)^2, also critA's
+    # (v_r / r)^2 + (v_phi / r)^2, and times r^2 the rest of |v|^2
+    slow = dpz_sums + ring_sums(usq)
+    energy = 0.5 * (w @ vz_sums + w_r2 @ slow)
+    dissipation += w @ slow
+    u4_sums = ring_sums(usq, usq)
+    om_sums = ring_sums(om, om)
     # v_phi^2 / r = r u1^2 (w in the column table) vanishes at the axis: odd
-    np.multiply(ws.r, u, out=cfz)
-    cfz *= u
-    sup, q_lhs, q_rhs = _swirl_quartic(g, u)
-    crit_b = np.multiply(ws.r2, om, out=ws.leaf[0])  # r^2 om1^2
-    crit_b *= om
+    cfz = np.multiply(ws.r, usq, out=t1)
+    cfz_grad = sq_sum(d_dr_values(cfz, g.dr, ODD, out=t2)) + sq_sum(
+        d_dz_values(cfz, g.dz, out=dpz)
+    )
+    sup, q_lhs, q_rhs = _swirl_quartic(g, u, usq)
+    # the ScalarField wrapper keeps d_dr a name looked up here, where
+    # perfbench's tracer wraps it
+    om1_grad = sq_sum(d_dr(state.omega1).values) + sq_sum(d_dz_values(om, g.dz, out=t2))
     inst = {
-        "E": energy,
-        "D": dissipation,
-        "critA": float(2.0 * np.pi * g.dr * g.dz * np.sum(dpz_sq)),
-        "critB": float(2.0 * np.pi * g.dr * g.dz * np.sum(crit_b)),
+        "E": float(energy),
+        "D": float(dissipation),
+        "critA": float(2.0 * np.pi * g.dr * g.dz * np.sum(dpz_sums)),
+        "critB": float(2.0 * np.pi * g.dr * g.dz * (r2 @ om_sums)),
         "swirl_sup": sup,
-        "cfz_l2": total(np.square(cfz, out=t1)),
-        "cfz_grad": grad_sq(
-            d_dr_values(cfz, g.dr, ODD, out=t1), d_dz_values(cfz, g.dz, out=t2)
-        ),
-        "u1_l4": total(np.square(np.multiply(u, u, out=t1), out=t1)),
+        "cfz_l2": float(w_r2 @ u4_sums),
+        "cfz_grad": float(cfz_grad),
+        "u1_l4": float(w @ u4_sums),
         # -d_dz(u1) = om_r / r
-        "phi_l2": math.sqrt(total(np.square(d_dz_values(u, g.dz, out=t1), out=t1))),
-        "om1_l2": math.sqrt(total(np.multiply(om, om, out=t1))),
-        # the ScalarField wrapper keeps d_dr a name looked up here, where
-        # perfbench's tracer wraps it; its fresh array is the integrand buffer
-        "om1_grad": grad_sq(d_dr(state.omega1).values, d_dz_values(om, g.dz, out=t2)),
+        "phi_l2": math.sqrt(sq_sum(d_dz_values(u, g.dz, out=t1))),
+        "om1_l2": math.sqrt(w @ om_sums),
+        "om1_grad": float(om1_grad),
         "ualpha_s": _ualpha_integral(g, u, s, s),
         "quartic_lhs": q_lhs,
         "quartic_rhs": q_rhs,

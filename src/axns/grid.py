@@ -35,13 +35,15 @@ out= array; the ScalarField wrappers (d_dr, d_dz, modified_laplacian)
 always return fresh arrays.  Each Grid carries one Workspace (grid.work):
 scratch (nr, nz) arrays and read-only full-size copies of the per-grid
 constants the array kernels multiply by, built on first use and freed
-with the grid.  The workspace is
-non-reentrant per grid, and no value lives in it across calls: whatever a
-kernel leaves there is overwritten by the next kernel call on that grid.
+with the grid.  The workspace is non-reentrant per grid, and no value
+lives in it across calls: whatever a kernel leaves there is overwritten
+by the next kernel call on that grid.  Volume integrals sum along z first
+(ring_sums) and weight the nr ring sums in r.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -162,12 +164,13 @@ class Workspace:
     value lives here across calls.
 
     The constants are read-only full-size copies of per-row columns: r,
-    neg_r (-r), r2 (r^2), quad_w, face_w (the radial face weights
-    2 pi r_{i+1/2} dr dz, nr - 1 rows) and the three lap3 bands sub,
-    diag and sup.  A full x full multiply into out= runs about 1.5x
-    faster than one that broadcasts an (nr, 1) column, and it needs no
-    numpy iterator buffer, so the kernels allocate nothing for it.  They
-    cost 8 arrays per grid: 1 MiB at 128^2, 4 MiB at 256^2.
+    neg_r (-r), r2 (r^2) and the three lap3 bands sub, diag and sup.  A
+    full x full multiply into out= runs about 1.5x faster than one that
+    broadcasts an (nr, 1) column, and it needs no numpy iterator buffer,
+    so the kernels allocate nothing for it.  They cost 6 arrays per grid:
+    768 KiB at 128^2, 3 MiB at 256^2.  The quadrature weights need no
+    copy: an integral sums its integrand along z first (ring_sums), then
+    weights the nr sums.
     """
 
     def __init__(self, grid: Grid):
@@ -178,13 +181,9 @@ class Workspace:
             a.flags.writeable = False
             return a
 
-        # radial faces r_{i+1/2}, i = 0 .. nr-2, with weight 2 pi r dr dz
-        r_face = grid.r[:-1] + 0.5 * grid.dr
         self.r = full(grid.r)
         self.neg_r = full(-grid.r)
         self.r2 = full(grid.r**2)
-        self.quad_w = full(grid.quad_w)
-        self.face_w = full(2.0 * np.pi * r_face * grid.dr * grid.dz)
         self.sub, self.diag, self.sup = map(full, grid.radial_bands)
         self.leaf = tuple(np.empty(shape) for _ in range(3))
         self.kernel = tuple(np.empty(shape) for _ in range(9))
@@ -231,18 +230,26 @@ def field_from_function(grid: Grid, fn, parity: str) -> ScalarField:
     return ScalarField(grid, vals.astype(np.float64), parity)
 
 
+def ring_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sum along z of each ring of a, or of a * b: nr values.  The volume
+    quadrature of an integrand is the dot product of its ring sums with an
+    r-only weight vector, quad_w for int f dx; integrands that differ by a
+    power of r share their sums and differ only in the weight."""
+    return np.einsum("ij->i", a) if b is None else np.einsum("ij,ij->i", a, b)
+
+
 def integrate_volume(f: ScalarField) -> float:
     """Quadrature of f over the cylinder: sum of values times 2 pi r dr dz."""
     if not np.all(np.isfinite(f.values)):
         raise ValueError("integrate_volume: field contains non-finite values")
-    return float(np.sum(f.values * f.grid.quad_w[:, None]))
+    return float(f.grid.quad_w @ ring_sums(f.values))
 
 
 def norm_l2(f: ScalarField) -> float:
     """Volume L2 norm sqrt(int f^2 dx)."""
     if not np.all(np.isfinite(f.values)):
         raise ValueError("norm_l2: field contains non-finite values")
-    return float(np.sqrt(np.sum(f.values * f.values * f.grid.quad_w[:, None])))
+    return math.sqrt(f.grid.quad_w @ ring_sums(f.values, f.values))
 
 
 def d_dr_values(values: np.ndarray, dr: float, parity: str, out=None) -> np.ndarray:

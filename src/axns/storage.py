@@ -48,7 +48,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sBii4d")
 
 
-def _atomic_write(path, data: bytes) -> None:
+def _atomic_write(path, data: bytes | bytearray) -> None:
     path = Path(path)
     # a name no other writer picks; "x" refuses to open an existing file
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
@@ -62,21 +62,15 @@ def _atomic_write(path, data: bytes) -> None:
         raise
 
 
-def _pack_array(vals: np.ndarray) -> bytes:
-    return np.asarray(vals, dtype="<f8").tobytes(order="F")
-
-
 def write_snapshot(state: State, path, nu: float) -> None:
     g = state.grid
-    header = _HEADER.pack(
-        MAGIC, VERSION, g.nr, g.nz, g.spec.R, g.spec.Lz, state.t, nu
-    )
-    body = (
-        _pack_array(state.u1.values)
-        + _pack_array(state.omega1.values)
-        + _pack_array(state.psi1.values)
-    )
-    _atomic_write(path, header + body)
+    buf = bytearray(_HEADER.size + 3 * g.nr * g.nz * 8)
+    _HEADER.pack_into(buf, 0, MAGIC, VERSION, g.nr, g.nz, g.spec.R, g.spec.Lz, state.t, nu)
+    # u1, om1, psi1 in turn, each with the radial index varying fastest
+    body = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).reshape(3, g.nz, g.nr)
+    for k, f in enumerate((state.u1, state.omega1, state.psi1)):
+        body[k] = f.values.T
+    _atomic_write(path, buf)
 
 
 def read_snapshot(path, grid: Grid | None = None) -> tuple[State, float]:

@@ -1,6 +1,7 @@
 """The no_regression and gain verdicts of scripts/bench_pairs.py on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -117,3 +118,26 @@ def test_src_hash_tells_trees_apart(tmp_path):
     assert bench_pairs.src_lines(a) == bench_pairs.src_lines(d) == 1
     (b / "src" / "pkg" / "a.py").write_text("x = 2\ny = 3\nz = 4")
     assert bench_pairs.src_lines(b) == 2
+
+
+def test_append_refuses_an_edited_tree(tmp_path, capsys):
+    trees = {}
+    for side in bench_pairs.SIDES:
+        trees[side] = _tree(tmp_path / side, {"pkg/a.py": f"side = {side!r}\n"})
+        (trees[side] / "perfbench").mkdir()
+        (trees[side] / "perfbench" / "run.py").write_text("")
+    (trees["parent"] / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    out = tmp_path / "bench.json"
+    hashes = {side: bench_pairs.src_hash(root) for side, root in trees.items()}
+    out.write_text(json.dumps({"src_sha256": hashes, "runs": []}))
+    argv = [
+        "--parent", str(trees["parent"]), "--change", str(trees["change"]),
+        "--workload", "w", "--seed", "0", "--pairs", "0", "--out", str(out), "--append",
+    ]
+    # the same trees: appending is allowed (no pairs, so nothing runs)
+    assert bench_pairs.main(argv) == 0
+    for side, root in trees.items():
+        (root / "src" / "pkg" / "a.py").write_text("edited = True\n")
+        assert bench_pairs.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"{side}: src/ differs")
+        (root / "src" / "pkg" / "a.py").write_text(f"side = {side!r}\n")

@@ -26,6 +26,7 @@ from axns.grid import (
     integrate_volume,
     make_grid,
     norm_l2,
+    ring_sums,
 )
 from axns.kinematics import State
 from axns.scenarios import Scenario, init_scenario
@@ -233,65 +234,150 @@ def test_ualpha_norm_rejects_small_s(s, p):
 
 
 def reference_instantaneous(state, s):
-    """The monitor entries as separate per-quantity helpers form them: each
-    from its own stencils, each integrand through integrate_volume."""
+    """The monitor entries composed as the kernel composes them, from the
+    public operators: each integrand summed along z by ring_sums, the
+    sums weighted in r."""
     g = state.grid
     r = g.r[:, None]
-    w = g.quad_w[:, None]
+    w, r2 = g.quad_w, g.r**2
     u, om = state.u1.values, state.omega1.values
-    vr = -r * d_dz(state.psi1).values
+
+    def sq(x):
+        return ring_sums(x, x)
+
+    dpz = d_dz(state.psi1).values
+    vr = -r * dpz
     vphi = r * u
     vz = 2.0 * state.psi1.values + r * d_dr(state.psi1).values
-    vr_over_r = -d_dz(state.psi1).values
-    E = 0.5 * float(np.sum(w * (vr * vr + vphi * vphi + vz * vz)))
+    slow = sq(dpz) + ring_sums(u * u)
+    E = 0.5 * (w @ sq(vz) + (w * r2) @ slow)
     D = (
         dg._face_grad_sq(vr, g, wall_zero=True)
         + dg._face_grad_sq(vphi, g, wall_zero=True)
         + dg._face_grad_sq(vz, g, wall_zero=False)
-        + float(np.sum(w * (vr_over_r * vr_over_r + u * u)))
+        + w @ slow
     )
-    dpz = d_dz(state.psi1).values
-    critA = float(2.0 * np.pi * g.dr * g.dz * np.sum(dpz * dpz))
-    critB = float(2.0 * np.pi * g.dr * g.dz * np.sum((r**2) * om * om))
-    swirl_sup = float(np.max(np.abs((r**2) * u)))
+    critA = 2.0 * np.pi * g.dr * g.dz * np.sum(sq(dpz))
+    critB = 2.0 * np.pi * g.dr * g.dz * (r2 @ sq(om))
     a = (r**2) * u
     m = float(np.max(np.abs(a)))
-    quartic_lhs = float(np.sum(w * ((a * a) * (u * u))))
-    quartic_rhs = float(np.sum(w * ((m * m) * (u * u))))
-    wfield = ScalarField(g, r * u * u, ODD)
-    cfz_l2 = integrate_volume(ScalarField(g, wfield.values**2, EVEN))
-    gw_r, gw_z = d_dr(wfield).values, d_dz(wfield).values
-    cfz_grad = integrate_volume(ScalarField(g, gw_r * gw_r + gw_z * gw_z, EVEN))
-    u1_l4 = integrate_volume(ScalarField(g, (u * u) ** 2, EVEN))
+    quartic_lhs = integrate_volume(ScalarField(g, (a * a) * (u * u), EVEN))
+    quartic_rhs = integrate_volume(ScalarField(g, (m * m) * (u * u), EVEN))
+    wfield = ScalarField(g, r * (u * u), ODD)
+    cfz_l2 = (w * r2) @ sq(u * u)
+    cfz_grad = w @ sq(d_dr(wfield).values) + w @ sq(d_dz(wfield).values)
+    u1_l4 = w @ sq(u * u)
     phi_l2 = norm_l2(d_dz(state.u1))
     om1_l2 = norm_l2(state.omega1)
-    go_r, go_z = d_dr(state.omega1).values, d_dz(state.omega1).values
-    om1_grad = integrate_volume(ScalarField(g, go_r * go_r + go_z * go_z, EVEN))
-    ualpha_s = integrate_volume(
-        ScalarField(g, r ** (2.0 * s - 3.0) * np.abs(u) ** s, EVEN)
-    )
+    om1_grad = w @ sq(d_dr(state.omega1).values) + w @ sq(d_dz(state.omega1).values)
+    # |u1|^s = x y with x = |u1|^(s // 2), for the s = 3, 4, 5 used here
+    x = np.abs(u) if s == 3 else np.abs(u) * np.abs(u)
+    y = x * np.abs(u) if s % 2 else x
+    ualpha_s = (w * g.r ** ((2.0 * s - 3.0) * s / s)) @ ring_sums(x, y)
     return dict(
-        E=E, D=D, critA=critA, critB=critB, swirl_sup=swirl_sup,
+        E=E, D=D, critA=critA, critB=critB, swirl_sup=m,
         cfz_l2=cfz_l2, cfz_grad=cfz_grad, u1_l4=u1_l4, phi_l2=phi_l2,
         om1_l2=om1_l2, om1_grad=om1_grad, ualpha_s=ualpha_s,
         quartic_lhs=quartic_lhs, quartic_rhs=quartic_rhs,
     )
 
 
-@pytest.mark.parametrize("s", [3, 4, 5])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_instantaneous_matches_reference_bitwise(s, seed):
+def elementwise_instantaneous(state, s):
+    """The monitor entries as pointwise integrands, each multiplied by the
+    full-size volume weight and summed over the whole grid."""
+    g = state.grid
+    r = g.r[:, None]
+    w = g.quad_w[:, None]
+
+    def total(f):
+        return float(np.sum(f * w))
+
+    def face_grad_sq(vals, wall_zero):
+        d_z = (np.roll(vals, -1, axis=1) - vals) / g.dz  # wraps at the last column
+        d_r = (vals[1:] - vals[:-1]) / g.dr
+        r_face = r[:-1] + 0.5 * g.dr
+        out = total(d_z * d_z) + float(np.sum(2.0 * np.pi * r_face * g.dr * g.dz * d_r * d_r))
+        if wall_zero:
+            half = 0.5 * g.dr
+            out += 2.0 * np.pi * g.spec.R * half * g.dz * float(np.sum((vals[-1] / half) ** 2))
+        return out
+
+    u, om = state.u1.values, state.omega1.values
+    dpz = d_dz(state.psi1).values
+    vr = -r * dpz
+    vphi = r * u
+    vz = 2.0 * state.psi1.values + r * d_dr(state.psi1).values
+    E = 0.5 * total(vr * vr + vphi * vphi + vz * vz)
+    D = (
+        face_grad_sq(vr, True) + face_grad_sq(vphi, True) + face_grad_sq(vz, False)
+        + total(dpz * dpz + u * u)
+    )
+    a = (r**2) * u
+    m = float(np.max(np.abs(a)))
+    wfield = ScalarField(g, r * u * u, ODD)
+    gw_r, gw_z = d_dr(wfield).values, d_dz(wfield).values
+    du = d_dz(state.u1).values
+    go_r, go_z = d_dr(state.omega1).values, d_dz(state.omega1).values
+    return dict(
+        E=E, D=D,
+        critA=float(2.0 * np.pi * g.dr * g.dz * np.sum(dpz * dpz)),
+        critB=float(2.0 * np.pi * g.dr * g.dz * np.sum((r**2) * om * om)),
+        swirl_sup=m,
+        cfz_l2=total(wfield.values**2),
+        cfz_grad=total(gw_r * gw_r + gw_z * gw_z),
+        u1_l4=total((u * u) ** 2),
+        phi_l2=math.sqrt(total(du * du)),
+        om1_l2=math.sqrt(total(om * om)),
+        om1_grad=total(go_r * go_r + go_z * go_z),
+        ualpha_s=total(r ** (2.0 * s - 3.0) * np.abs(u) ** s),
+        quartic_lhs=total((a * a) * (u * u)),
+        quartic_rhs=total((m * m) * (u * u)),
+    )
+
+
+def random_state(seed):
     g = make_grid(GridSpec(R=1.0, Lz=1.0, nr=16, nz=12))
     rng = np.random.default_rng(seed)
     fields = [
         ScalarField(g, rng.standard_normal((g.nr, g.nz)), EVEN) for _ in range(3)
     ]
-    state = State(u1=fields[0], omega1=fields[1], psi1=fields[2], t=0.0)
+    return State(u1=fields[0], omega1=fields[1], psi1=fields[2], t=0.0)
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_instantaneous_matches_reference_bitwise(s, seed):
+    state = random_state(seed)
     got = dg.instantaneous(state, s)
     want = reference_instantaneous(state, s)
     assert got.keys() == want.keys()
     for key, value in want.items():
         assert got[key] == value, key
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2, None])
+def test_instantaneous_agrees_with_elementwise_sums(s, seed):
+    # summing along z first reorders the sums: only roundoff may differ
+    if seed is None:
+        grid = make_grid(GridSpec(R=1.0, Lz=1.0, nr=64, nz=64))
+        state = init_scenario(Scenario(name="gaussian_ring"), grid)
+    else:
+        state = random_state(seed)
+    got = dg.instantaneous(state, s)
+    want = elementwise_instantaneous(state, s)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert math.isclose(got[key], value, rel_tol=1e-14), key
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_instantaneous_norms_are_norm_l2(seed):
+    # one volume quadrature: the norm columns are norm_l2 to the bit
+    state = random_state(seed)
+    inst = dg.instantaneous(state, 4)
+    assert inst["om1_l2"] == norm_l2(state.omega1)
+    assert inst["phi_l2"] == norm_l2(d_dz(state.u1))
 
 
 def test_instantaneous_allocates_few_full_size_arrays(grid64, traced_peak):

@@ -308,13 +308,10 @@ def test_workspace_constants_are_read_only_full_size_columns():
     # nr != nz, so a transposed constant cannot pass
     g = make_grid(GridSpec(R=1.3, Lz=0.7, nr=12, nz=8))
     sub, diag, sup = g.radial_bands
-    r_face = g.r[:-1] + 0.5 * g.dr
     columns = {
         "r": g.r[:, None],
         "neg_r": -g.r[:, None],
         "r2": g.r[:, None] ** 2,
-        "quad_w": g.quad_w[:, None],
-        "face_w": (2.0 * np.pi * r_face * g.dr * g.dz)[:, None],
         "sub": sub[:, None],
         "diag": diag[:, None],
         "sup": sup[:, None],

@@ -52,6 +52,20 @@ def test_snapshot_round_trip_bit_exact(grid32, tmp_path_factory, seed):
     assert state.grid.spec == grid32.spec
 
 
+def test_snapshot_layout_is_pinned(tmp_path):
+    # expected bytes built by hand, not by the package's reader: a
+    # non-square grid and distinct fields catch a C-order body or swapped
+    # fields
+    grid = make_grid(GridSpec(R=1.5, Lz=2.0, nr=16, nz=12))
+    state = make_state(grid, np.random.default_rng(4), t=0.375)
+    path = tmp_path / "snap.axns"
+    storage.write_snapshot(state, path, nu=0.05)
+    want = struct.pack("<4sBii4d", b"AXNS", 1, 16, 12, 1.5, 2.0, 0.375, 0.05) + b"".join(
+        f.values.tobytes(order="F") for f in (state.u1, state.omega1, state.psi1)
+    )
+    assert path.read_bytes() == want
+
+
 def test_snapshot_corrupt_magic(grid16, tmp_path):
     path = tmp_path / "snap.axns"
     storage.write_snapshot(make_state(grid16), path, nu=0.1)
