@@ -115,8 +115,9 @@ def _face_grad_sq(vals: np.ndarray, grid: Grid, wall_zero: bool) -> float:
     np.subtract(vals[1:], vals[:-1], out=d[:-1])
     d[-1] = vals[-1]
     n = grid.nr if wall_zero else grid.nr - 1
-    r_face = np.append(grid.r[:-1] + 0.5 * grid.dr, 2.0 * grid.spec.R)[:n]
-    total += 2.0 * np.pi * grid.dz / grid.dr * (r_face @ ring_sums(d[:n], d[:n]))
+    r_face = grid.r + 0.5 * grid.dr
+    r_face[-1] = 2.0 * grid.spec.R
+    total += 2.0 * np.pi * grid.dz / grid.dr * (r_face[:n] @ ring_sums(d[:n], d[:n]))
     return float(total)
 
 

@@ -235,7 +235,7 @@ def ring_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     quadrature of an integrand is the dot product of its ring sums with an
     r-only weight vector, quad_w for int f dx; integrands that differ by a
     power of r share their sums and differ only in the weight."""
-    return np.einsum("ij->i", a) if b is None else np.einsum("ij,ij->i", a, b)
+    return np.einsum("ij->i", a) if b is None else np.vecdot(a, b)
 
 
 def integrate_volume(f: ScalarField) -> float:
