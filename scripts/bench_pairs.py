@@ -232,7 +232,8 @@ def main(argv=None) -> int:
     if args.append:
         old = json.loads(args.out.read_text(encoding="utf-8"))
         for side in SIDES:
-            if old["src_sha256"][side] != record["src_sha256"][side]:
+            # files written before src_sha256 existed match no tree
+            if old.get("src_sha256", {}).get(side) != record["src_sha256"][side]:
                 print(f"{side}: src/ differs from the tree the runs in {args.out} "
                       "came from; write a new --out file", file=sys.stderr)
                 return 2

@@ -73,7 +73,7 @@ def _cmd_criteria(args) -> int:
     # one snapshot in memory at a time; nothing is written until all are read
     series = CriteriaSeries(s=args.s)
     norms = []
-    for state, _ in read_snapshot_dir(args.snapshots):
+    for state in read_snapshot_dir(args.snapshots):
         row = diagnostics.sample(state, series)
         # with p = s the row's ualpha_s column is the integral ualpha_norm forms
         norm = row.ualpha_s ** (1.0 / p) if p == args.s else ualpha_norm(state, args.s, p)

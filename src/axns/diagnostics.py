@@ -102,7 +102,7 @@ class CriteriaSeries:
 
 def _face_grad_sq(vals: np.ndarray, grid: Grid, wall_zero: bool) -> float:
     """int |grad f|^2 dx from face differences; see the module docstring."""
-    d = grid.work.leaf[1]
+    d = grid.work.leaf[0]
     # axial faces along the flattened C-ordered array (as d_dz_values
     # does), then the last column again, across the periodic wrap
     vals = np.ascontiguousarray(vals)
@@ -125,9 +125,8 @@ def _swirl_quartic(g: Grid, u: np.ndarray, usq: np.ndarray) -> tuple[float, floa
     """(max |r^2 u1|, int v_phi^4 dx, (max |r^2 u1|)^2 int u1^2 dx), with
     usq = u1^2.  Both integrands are formed elementwise and reduced by the
     same path, so lhs <= rhs survives rounding exactly."""
-    ws = g.work
-    a, t = ws.leaf[0], ws.leaf[2]
-    np.multiply(ws.r2, u, out=a)
+    a, t = g.work.leaf
+    np.multiply(g.work.r2, u, out=a)
     m = float(np.max(np.abs(a, out=t)))
     np.multiply(a, a, out=t)
     t *= usq
@@ -139,24 +138,15 @@ def _swirl_quartic(g: Grid, u: np.ndarray, usq: np.ndarray) -> tuple[float, floa
 def _ualpha_integral(g: Grid, u: np.ndarray, s: int, p: float) -> float:
     """int |u_alpha|^p dx with u_alpha = r^(2 - 3/s) u1, summed as
     r^((2s - 3) p / s) |u1|^p (the exponent is exactly 2s - 3 when p = s),
-    or max |u_alpha| for p = math.inf.  The criteria need s >= 3."""
+    or max |u_alpha| for p = math.inf.  The criteria need s >= 3.  |u1|^p
+    is x^2 with x = |u1|^(p / 2): at the runs' p = 4, np.power squares."""
     if s < 3:
         raise ValueError(f"s must be an integer >= 3, got {s}")
     if math.isinf(p):
         return float(np.max(np.abs(g.r[:, None] ** (2.0 - 3.0 / s) * u)))
-    ws = g.work
-    a = np.abs(u, out=ws.leaf[0])
-    # for small integer p a few multiplications cost less than np.power:
-    # |u1|^p = x y with x = |u1|^(p // 2) and y = x or x |u1|
-    if p in range(2, 9):
-        x = ws.leaf[1]
-        x[...] = a
-        for _ in range(int(p) // 2 - 1):
-            x *= a
-        sums = ring_sums(x, x if p % 2 == 0 else np.multiply(x, a, out=ws.leaf[2]))
-    else:
-        sums = ring_sums(np.power(a, p, out=a))
-    return float((g.quad_w * g.r ** ((2.0 * s - 3.0) * p / s)) @ sums)
+    x = g.work.leaf[0]
+    np.power(np.abs(u, out=x), p / 2.0, out=x)
+    return float((g.quad_w * g.r ** ((2.0 * s - 3.0) * p / s)) @ ring_sums(x, x))
 
 
 def ualpha_norm(state: State, s: int, p: float) -> float:

@@ -152,7 +152,7 @@ class Workspace:
     The buffers are grouped by the code that writes them, so that a caller
     never hands a helper a buffer the helper overwrites:
 
-        leaf    temporaries of the leaf kernels (lap3_values and the
+        leaf    two temporaries of the leaf kernels (lap3_values and the
                 diagnostics integrands); a leaf kernel calls no other
                 kernel that uses the workspace
         kernel  intermediates and results of dynamics.rhs, of
@@ -185,7 +185,7 @@ class Workspace:
         self.neg_r = full(-grid.r)
         self.r2 = full(grid.r**2)
         self.sub, self.diag, self.sup = map(full, grid.radial_bands)
-        self.leaf = tuple(np.empty(shape) for _ in range(3))
+        self.leaf = tuple(np.empty(shape) for _ in range(2))
         self.kernel = tuple(np.empty(shape) for _ in range(9))
         self.stage = tuple(np.empty(shape) for _ in range(2))
 

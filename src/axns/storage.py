@@ -108,8 +108,8 @@ def _name_order(path: Path) -> list:
     return [int(part) if k % 2 else part for k, part in enumerate(parts)]
 
 
-def read_snapshot_dir(dirpath) -> Iterator[tuple[State, float]]:
-    """Yield (state, nu) for every *.axns file under dirpath, sorted by name
+def read_snapshot_dir(dirpath) -> Iterator[State]:
+    """Yield the state of every *.axns file under dirpath, sorted by name
     with digit runs compared as numbers (snap_1000000 after snap_999999),
     reading one file at a time.  Each file is checked as it is read:
     the sample times must increase and the grid and nu must be uniform.
@@ -120,7 +120,7 @@ def read_snapshot_dir(dirpath) -> Iterator[tuple[State, float]]:
         raise ValueError(f"no snapshot files in {dirpath}")
     state, nu0 = read_snapshot(paths[0])
     spec0 = state.grid.spec
-    yield state, nu0
+    yield state
     for path in paths[1:]:
         t_prev = state.t
         state, nu = read_snapshot(path, state.grid)
@@ -132,7 +132,7 @@ def read_snapshot_dir(dirpath) -> Iterator[tuple[State, float]]:
             raise ValueError(f"mixed grids in {dirpath}: {spec0} and {state.grid.spec}")
         if nu != nu0:
             raise ValueError(f"mixed nu values in {dirpath}: {nu0} and {nu}")
-        yield state, nu
+        yield state
 
 
 def write_series(series: CriteriaSeries, path) -> None:

@@ -71,17 +71,6 @@ def elliptic_study(levels=(32, 64, 128)):
     return errors, residuals
 
 
-def _sum_bumps(terms, grid: Grid) -> np.ndarray:
-    r = grid.r[:, None]
-    z = grid.z[None, :]
-    Lz = grid.spec.Lz
-    out = np.zeros((grid.nr, grid.nz))
-    for amp, rho, w, k, phase in terms:
-        radial = np.exp(-(((r - rho) / w) ** 2)) + np.exp(-(((r + rho) / w) ** 2))
-        out += amp * radial * np.cos(2.0 * np.pi * k * z / Lz + phase)
-    return out
-
-
 def random_bump_terms(
     rng: np.random.Generator,
     R: float,
@@ -102,7 +91,12 @@ def random_bump_terms(
 
 
 def bump_field(terms, grid: Grid) -> ScalarField:
-    return ScalarField(grid, _sum_bumps(terms, grid), EVEN)
+    r, z = grid.r[:, None], grid.z[None, :]
+    out = np.zeros((grid.nr, grid.nz))
+    for amp, rho, w, k, phase in terms:
+        radial = np.exp(-(((r - rho) / w) ** 2)) + np.exp(-(((r + rho) / w) ** 2))
+        out += amp * radial * np.cos(2.0 * np.pi * k * z / grid.spec.Lz + phase)
+    return ScalarField(grid, out, EVEN)
 
 
 def divergence_study():

@@ -4,10 +4,9 @@
 ``(ok, detail)`` and is the one place its bound is written.  ``axns
 verify`` prints one ``[pass]``/``[FAIL]`` line per check of the chosen
 suites, and ``tests/test_acceptance.py`` runs each entry as one test.
-Inputs that several checks read, or that both gates compute in one
-process, are cached per process: the four reference runs (gaussian_ring
-and pure_swirl, nu in {0.05, 0.2}, 64x64, CFL 0.5, t_end 1), the
-refinement studies, the sharp constants and the offline-consistency run.
+Inputs read by several checks, or twice in one test process, are cached
+per process: the four reference runs of ACCEPTANCE_CASES, the elliptic and
+divergence studies, the sharp constants and the offline-consistency run.
 """
 
 from __future__ import annotations
@@ -80,9 +79,6 @@ def acceptance_run(name: str, nu: float):
 
 _elliptic = cache(elliptic_study)
 _divergence = cache(divergence_study)
-_spatial = cache(dynamics_spatial_study)
-_temporal = cache(dynamics_temporal_study)
-_decay = cache(swirl_decay_error)
 
 
 def _grid(nr: int, nz: int):
@@ -99,7 +95,7 @@ def _orders(errors, bound: float) -> tuple[bool, str]:
 
 def _total_volume():
     g = _grid(48, 32)
-    vol = float(np.sum(g.quad_w)) * g.nz
+    vol = integrate_volume(ScalarField(g, np.ones((g.nr, g.nz)), EVEN))
     exact = np.pi * g.spec.R**2 * g.spec.Lz
     rel = abs(vol - exact) / exact
     return rel <= 1e-12, f"rel err {rel:.2e}"
@@ -205,7 +201,7 @@ def _lpq_step():
     g = _grid(48, 32)
     c1, c2, delta, T = 0.75, 1.5, 1e-3, 1.1
     p, q, s = 2.0, 3.0, 4
-    vol = float(np.sum(g.quad_w)) * g.nz
+    vol = np.pi * g.spec.R**2 * g.spec.Lz
     times = ((0.0, c1), (T / 2 - delta, c1), (T / 2 + delta, c2), (T, c2))
     samples = [(t, diagnostics.ualpha_norm(_swirl_state(g, c, s), s, p)) for t, c in times]
     got = lpq_norm(samples, q)
@@ -228,7 +224,7 @@ def _offline_run():
     with tempfile.TemporaryDirectory() as tmp:
         _, live = run(cfg, out_dir=tmp)
         offline = CriteriaSeries()
-        for st, _ in read_snapshot_dir(Path(tmp) / "snapshots"):
+        for st in read_snapshot_dir(Path(tmp) / "snapshots"):
             diagnostics.sample(st, offline)
         stored = read_series(Path(tmp) / "series.csv")
     return live.rows, offline.rows, stored
@@ -371,7 +367,7 @@ def _sharp_drift():
 
 
 def _swirl_decay():
-    decay = _decay()
+    decay = swirl_decay_error()
     return decay <= 1e-3, f"rel err {decay:.2e}"
 
 
@@ -394,7 +390,7 @@ CHECKS: tuple[Check, ...] = (
         "divergence residual of reconstructed velocity: order >= 1.9",
         lambda: _orders(_divergence(), 1.9),
     ),
-    Check("ops", "quartic bound lhs <= rhs on 1000 random states, no tolerance", _quartic),
+    Check("ops", "quartic bound lhs <= rhs on 2000 random states, no tolerance", _quartic),
     Check("ops", "space-time norm of constant field = c V^(1/p) T^(1/q)", _lpq_constant),
     Check("ops", "space-time norm of a two-level step matches the closed form", _lpq_step),
     Check(
@@ -430,8 +426,16 @@ CHECKS: tuple[Check, ...] = (
     Check("lemma33", "sharp criteria constant C_n <= 2.0 at n = 64, 128", _sharp_bounded),
     Check("lemma33", "sharp criteria constant moves < 5% under refinement", _sharp_drift),
     *_per_run("lemma33", (("criteria ratio <= 2.0 along the run", _run_ratio),)),
-    Check("mms", "forced-run recovery: spatial order >= 1.9", lambda: _orders(_spatial(), 1.9)),
-    Check("mms", "forced-run recovery: temporal order >= 2.9", lambda: _orders(_temporal(), 2.9)),
+    Check(
+        "mms",
+        "forced-run recovery: spatial order >= 1.9",
+        lambda: _orders(dynamics_spatial_study(), 1.9),
+    ),
+    Check(
+        "mms",
+        "forced-run recovery: temporal order >= 2.9",
+        lambda: _orders(dynamics_temporal_study(), 2.9),
+    ),
     Check(
         "mms",
         "small-amplitude swirl decays at exp(-nu (2 pi / Lz)^2 t) to 1e-3",

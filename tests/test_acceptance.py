@@ -2,8 +2,9 @@
 
 ``axns verify`` runs the same table, so each bound lives in one place.
 Test ids are ``suite:name``.  Shared inputs (the four reference runs,
-the refinement studies, the sharp criteria constants, the offline run) are
-cached per process by ``axns.verify``; `pytest -s` shows each check's detail.
+the elliptic and divergence studies, the sharp criteria constants, the
+offline run) are cached per process by ``axns.verify``; `pytest -s` shows
+each check's detail.
 """
 
 import pytest

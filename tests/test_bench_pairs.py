@@ -120,7 +120,9 @@ def test_src_hash_tells_trees_apart(tmp_path):
     assert bench_pairs.src_lines(b) == 2
 
 
-def test_append_refuses_an_edited_tree(tmp_path, capsys):
+def _append_case(tmp_path):
+    """(trees, out, argv): a parent and a change tree, and the argv that
+    appends no pairs to the file out."""
     trees = {}
     for side in bench_pairs.SIDES:
         trees[side] = _tree(tmp_path / side, {"pkg/a.py": f"side = {side!r}\n"})
@@ -128,12 +130,17 @@ def test_append_refuses_an_edited_tree(tmp_path, capsys):
         (trees[side] / "perfbench" / "run.py").write_text("")
     (trees["parent"] / "BENCHMARK.json").write_text('{"end_to_end": []}')
     out = tmp_path / "bench.json"
-    hashes = {side: bench_pairs.src_hash(root) for side, root in trees.items()}
-    out.write_text(json.dumps({"src_sha256": hashes, "runs": []}))
     argv = [
         "--parent", str(trees["parent"]), "--change", str(trees["change"]),
         "--workload", "w", "--seed", "0", "--pairs", "0", "--out", str(out), "--append",
     ]
+    return trees, out, argv
+
+
+def test_append_refuses_an_edited_tree(tmp_path, capsys):
+    trees, out, argv = _append_case(tmp_path)
+    hashes = {side: bench_pairs.src_hash(root) for side, root in trees.items()}
+    out.write_text(json.dumps({"src_sha256": hashes, "runs": []}))
     # the same trees: appending is allowed (no pairs, so nothing runs)
     assert bench_pairs.main(argv) == 0
     for side, root in trees.items():
@@ -141,3 +148,11 @@ def test_append_refuses_an_edited_tree(tmp_path, capsys):
         assert bench_pairs.main(argv) == 2
         assert capsys.readouterr().err.startswith(f"{side}: src/ differs")
         (root / "src" / "pkg" / "a.py").write_text(f"side = {side!r}\n")
+
+
+def test_append_refuses_a_file_without_src_hashes(tmp_path, capsys):
+    # files written before src_sha256 was recorded cannot name their trees
+    _, out, argv = _append_case(tmp_path)
+    out.write_text(json.dumps({"runs": []}))
+    assert bench_pairs.main(argv) == 2
+    assert capsys.readouterr().err.startswith("parent: src/ differs")

@@ -62,6 +62,14 @@ def test_csv_round_trip_check_rejects_truncated_series(monkeypatch):
     assert check.fn()[0] is False
 
 
+def test_volume_check_rejects_a_broken_quadrature(monkeypatch):
+    # the check integrates through ring_sums, so doubled sums must fail it
+    ring_sums = axns.grid.ring_sums
+    monkeypatch.setattr(axns.grid, "ring_sums", lambda *a: 2.0 * ring_sums(*a))
+    check = next(c for c in CHECKS if c.name == "quadrature: total volume = pi R^2 Lz")
+    assert check.fn()[0] is False
+
+
 def test_offline_check_rejects_a_one_ulp_difference(monkeypatch):
     # offline and live rows come from the same bits, so they must be equal
     live, offline, stored = verify._offline_run()
@@ -215,7 +223,7 @@ def test_criteria_lpq_with_p_other_than_s(run_dir, tmp_path, capsys):
     assert main(argv + ["--p", "3", "--s", "4"]) == 0
     line = capsys.readouterr().out.splitlines()[-1]
     assert line.startswith("lpq_norm of weighted swirl (p=3, q=4, s=4): ")
-    states = [st for st, _ in storage.read_snapshot_dir(run_dir / "snapshots")]
+    states = list(storage.read_snapshot_dir(run_dir / "snapshots"))
     norms = [ualpha_norm(st, 4, 3.0) for st in states]
     want = np.trapezoid(np.power(norms, 4.0), [st.t for st in states]) ** 0.25
     assert len(states) >= 3
@@ -227,7 +235,7 @@ def test_criteria_inf_exponents_take_max_over_snapshots(run_dir, tmp_path, capsy
     argv = ["criteria", "--snapshots", str(run_dir / "snapshots"), "--out", str(out_csv)]
     assert main(argv + ["--p", "inf", "--q", "Infinity"]) == 0
     line = capsys.readouterr().out.splitlines()[-1]
-    states = [st for st, _ in storage.read_snapshot_dir(run_dir / "snapshots")]
+    states = list(storage.read_snapshot_dir(run_dir / "snapshots"))
     want = max(ualpha_norm(st, 4, math.inf) for st in states)
     assert len(states) >= 3 and want > 0.0
     assert line == f"lpq_norm of weighted swirl (p=inf, q=inf, s=4): {want:.12g}"

@@ -270,10 +270,9 @@ def reference_instantaneous(state, s):
     phi_l2 = norm_l2(d_dz(state.u1))
     om1_l2 = norm_l2(state.omega1)
     om1_grad = w @ sq(d_dr(state.omega1).values) + w @ sq(d_dz(state.omega1).values)
-    # |u1|^s = x y with x = |u1|^(s // 2), for the s = 3, 4, 5 used here
-    x = np.abs(u) if s == 3 else np.abs(u) * np.abs(u)
-    y = x * np.abs(u) if s % 2 else x
-    ualpha_s = (w * g.r ** ((2.0 * s - 3.0) * s / s)) @ ring_sums(x, y)
+    # |u1|^s = x^2 with x = |u1|^(s / 2)
+    x = np.power(np.abs(u), s / 2.0)
+    ualpha_s = (w * g.r ** ((2.0 * s - 3.0) * s / s)) @ ring_sums(x, x)
     return dict(
         E=E, D=D, critA=critA, critB=critB, swirl_sup=m,
         cfz_l2=cfz_l2, cfz_grad=cfz_grad, u1_l4=u1_l4, phi_l2=phi_l2,

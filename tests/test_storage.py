@@ -104,10 +104,9 @@ def test_snapshot_dir_ordering_and_checks(grid16, tmp_path, rng):
             make_state(grid16, rng, t=t), tmp_path / f"snap_{n:06d}.axns", nu=0.1
         )
     out = list(storage.read_snapshot_dir(tmp_path))
-    assert [s.t for s, _ in out] == [0.0, 0.1, 0.2]
-    assert all(nu == 0.1 for _, nu in out)
+    assert [s.t for s in out] == [0.0, 0.1, 0.2]
     # one Grid per directory, so its caches are built once
-    assert all(s.grid is out[0][0].grid for s, _ in out)
+    assert all(s.grid is out[0].grid for s in out)
     assert storage.read_snapshot(tmp_path / "snap_000001.axns", grid16)[0].grid is grid16
     other = make_grid(GridSpec(R=1.0, Lz=2.0, nr=16, nz=16))
     assert storage.read_snapshot(tmp_path / "snap_000001.axns", other)[0].grid.spec == grid16.spec
@@ -123,7 +122,7 @@ def test_snapshot_dir_orders_by_number(grid16, tmp_path):
     # RunWriter's six-digit names grow a seventh digit after snapshot 999999
     storage.write_snapshot(make_state(grid16, t=0.5), tmp_path / "snap_1000000.axns", nu=0.1)
     storage.write_snapshot(make_state(grid16, t=0.0), tmp_path / "snap_999999.axns", nu=0.1)
-    assert [s.t for s, _ in storage.read_snapshot_dir(tmp_path)] == [0.0, 0.5]
+    assert [s.t for s in storage.read_snapshot_dir(tmp_path)] == [0.0, 0.5]
 
 
 def test_snapshot_dir_mixed_nu(grid16, grid32, tmp_path):
@@ -250,8 +249,8 @@ def test_run_writer_layout(tmp_path):
     back = storage.read_series(out / "series.csv")
     assert [r.t for r in back] == [r.t for r in series.rows]
     disk = list(storage.read_snapshot_dir(out / "snapshots"))
-    assert math.isclose(disk[-1][0].t, final.t, rel_tol=1e-12)
-    assert np.array_equal(disk[-1][0].u1.values, final.u1.values)
+    assert math.isclose(disk[-1].t, final.t, rel_tol=1e-12)
+    assert np.array_equal(disk[-1].u1.values, final.u1.values)
     svgs = sorted((out / "plots").glob("*.svg"))
     assert len(svgs) >= 5
 
