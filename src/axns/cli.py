@@ -4,7 +4,8 @@ Subcommands: run (integrate a configured problem and write outputs),
 criteria (recompute diagnostics offline from stored snapshots), verify
 (invariant suites), convergence (refinement study on a config).
 
-Exit codes: 0 success, 1 failed verification or blow-up, 2 usage errors.
+Exit codes: 0 success, 1 failed verification or blow-up, 2 usage errors
+(bad arguments, configs or snapshots, and file-system errors).
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -57,7 +57,8 @@ _PARITIES = (EVEN, ODD)
 
 
 def check_count(name: str, value, least: int) -> None:
-    if not isinstance(value, numbers.Integral):  # numpy integers are Integral
+    # numpy integers are Integral; so is bool, which no count accepts
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")

@@ -17,7 +17,8 @@ radial index varying fastest.  Round trips are bit-exact.
 
 The series CSV has one header line (the MonitorRow column names) and one
 %.17g-formatted line per row, so parsing it back reproduces every float
-exactly.
+exactly; reading refuses, naming the file and the row, a row that is
+short, unparsable or holds a non-finite value.
 
 All writes, plots included, land in a uniquely named temporary file next
 to the target and are renamed into place, so a crash never leaves a
@@ -151,10 +152,14 @@ def read_series(path) -> list[MonitorRow]:
         raise ValueError(f"series file {path} has an unexpected header")
     rows = []
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(COLUMNS):
+        try:
+            values = [float(p) for p in ln.split(",")]
+        except ValueError:
+            values = []
+        # the writer emits only finite values, so a nan or inf is corruption
+        if len(values) != len(COLUMNS) or not all(map(math.isfinite, values)):
             raise ValueError(f"series file {path}: bad row {ln!r}")
-        rows.append(MonitorRow(*(float(p) for p in parts)))
+        rows.append(MonitorRow(*values))
     return rows
 
 

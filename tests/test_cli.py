@@ -127,11 +127,25 @@ def test_run_blow_up_exits_1_and_keeps_outputs(tmp_path, capsys, monkeypatch):
 
 
 def test_run_missing_config_exit_2(tmp_path, capsys):
-    code = main(
-        ["run", "--config", str(tmp_path / "ghost.cfg"), "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
-    assert capsys.readouterr().err
+    # a config that does not exist, and an --out that is a file, not a directory
+    cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+    cfg.write_text(CONFIG)
+    out.write_text("a file")
+    ghost = tmp_path / "ghost.cfg"
+    for cfg_path, out_path, named in ((ghost, tmp_path / "o2", ghost), (cfg, out, out)):
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(named) in err
+
+
+def test_criteria_out_is_a_directory_exit_2(run_dir, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    argv = ["criteria", "--snapshots", str(run_dir / "snapshots"), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not list(tmp_path.glob("*.tmp")) and not list(out.iterdir())
 
 
 def test_run_refuses_a_used_directory(tmp_path, capsys):

@@ -319,7 +319,15 @@ def test_config_rejected_at_construction(key, value):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("nr", 8.0), ("nz", np.float64(8)), ("output_every", 2.5), ("mode_k", 1.5)],
+    [
+        ("nr", 8.0),
+        ("nz", np.float64(8)),
+        ("output_every", 2.5),
+        ("mode_k", 1.5),
+        ("output_every", True),
+        ("mode_k", True),
+        ("nr", True),
+    ],
 )
 def test_counts_must_be_integers(field, value):
     # the parser's int() never lets these through; construction and

@@ -26,8 +26,6 @@ from axns.kinematics import State
 from axns.studies import (
     bump_field,
     criteria_constant,
-    elliptic_study,
-    observed_order,
     random_bump_terms,
 )
 
@@ -61,13 +59,6 @@ def test_discrete_round_trip(grid64, rng):
     psi = solve_stream(om)
     err = norm_l2(ScalarField(grid64, psi.values - psi_star.values, EVEN))
     assert err <= 1e-10 * norm_l2(psi_star)
-
-
-def test_manufactured_convergence():
-    errs, resids = elliptic_study(levels=(16, 32, 64))
-    for p in observed_order(errs):
-        assert p >= 1.9
-    assert all(r <= 1e-10 for r in resids)
 
 
 def test_wrong_source_positive_residual(grid32):

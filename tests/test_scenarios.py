@@ -175,3 +175,13 @@ def test_manufactured_start_samples_no_forcing(grid16, monkeypatch):
     man = manufactured_solution(grid16, 0.05, sc)
     assert state.u1.values.tobytes() == man.u1(0.0).tobytes()
     assert state.omega1.values.tobytes() == man.om1(0.0).tobytes()
+
+
+def test_pure_swirl_wide_width_is_uniform_in_r():
+    # the swirl-decay check starts from this state: at width 1e200 the
+    # radial factor exp(-((r - r_c) / w)^2) is exactly 1
+    grid = make_grid(GridSpec(R=2.0, Lz=1.0, nr=64, nz=128))
+    state = init_scenario(Scenario("pure_swirl", amplitude=1e-6, width=1e200), grid)
+    want = np.broadcast_to(1e-6 * np.cos(2.0 * np.pi * grid.z), (grid.nr, grid.nz))
+    assert state.u1.values.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert state.psi1.values.tobytes() == np.zeros((grid.nr, grid.nz)).tobytes()

@@ -231,6 +231,17 @@ def test_series_rejects_short_row(tmp_path):
         storage.read_series(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "1.2e", "-inf"])
+def test_series_rejects_corrupt_field(tmp_path, bad):
+    # the writer never emits a non-finite value, so one read back is corruption
+    path = tmp_path / "s.csv"
+    row = ["0.5"] * len(dg.COLUMNS)
+    row[3] = bad
+    path.write_text(",".join(dg.COLUMNS) + "\n" + ",".join(row) + "\n")
+    with pytest.raises(ValueError, match=f"series file {re.escape(str(path))}: bad row .*{bad}"):
+        storage.read_series(path)
+
+
 def test_run_writer_layout(tmp_path):
     spec = GridSpec(R=1.0, Lz=1.0, nr=24, nz=24)
     cfg = SolverConfig(
