@@ -4,8 +4,9 @@ Subcommands: run (integrate a configured problem and write outputs),
 criteria (recompute diagnostics offline from stored snapshots), verify
 (invariant suites), convergence (refinement study on a config).
 
-Exit codes: 0 success, 1 failed verification or blow-up, 2 usage errors
-(bad arguments, configs or snapshots, and file-system errors).
+Exit codes: 0 success, 1 failed verification or a run aborted by
+BlowUpError (non-finite fields, or a step that no longer advances t), 2
+usage errors (bad arguments, configs or snapshots, and file-system errors).
 """
 
 from __future__ import annotations

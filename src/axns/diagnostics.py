@@ -1,40 +1,38 @@
 """Monitor functionals and the per-run criteria series.
 
-One MonitorRow per sampled time, columns in this fixed order:
+One MonitorRow per sampled time, columns in this fixed order, each with
+the check, plot or command that reads it (the ops suite's offline and
+CSV round-trip checks also read every column):
 
-    t            sample time
-    E            kinetic energy (1/2) int |v|^2 dx
-    D            dissipation integral int |grad v|^2 + (v_r/r)^2 + (v_phi/r)^2 dx
-    critA        int v_r^2 / r^3 dx  = 2 pi int (d_dz psi1)^2 dr dz
-    critB        int om_phi^2 / r dx = 2 pi int r^2 om1^2 dr dz
-    critA_int    trapezoid of critA over the rows so far
-    critB_int    trapezoid of critB over the rows so far
-    swirl_sup    max |r^2 u1|
-    cfz_l2       int w^2 dx with w = v_phi^2 / r = r u1^2  (squared L2 norm)
-    cfz_grad_int trapezoid of int |grad w|^2 dx
-    phi_l2       || -d_dz(u1) ||_L2
-    om1_l2       || om1 ||_L2 volume norm ( = ||Gamma||_L2 )
-    om1_grad_int trapezoid of int |grad om1|^2 dx
-    u1_l4_int    trapezoid of int u1^4 dx ( = ||v_phi/r||_L4^4 )
-    ualpha_s     int |u_alpha|^s dx with u_alpha = r^(2 - alpha) u1, alpha = 3/s
-    quartic_lhs  int v_phi^4 dx
-    quartic_rhs  swirl_sup^2 int u1^2 dx
+    t            sample time                         all of the below
+    E            kinetic energy (1/2) int |v|^2 dx   energy suite, energy.svg
+    D            dissipation integral, see below     energy suite, dissipation.svg
+    critA        int v_r^2 / r^3 dx                  lemma33 ratio, criteria.svg
+    critB        int om_phi^2 / r dx                 lemma33 ratio, criteria.svg
+    critA_int    trapezoid of critA over the rows    criteria_int.svg
+    critB_int    trapezoid of critB over the rows    criteria_int.svg
+    swirl_sup    max |r^2 u1|                        maxprinciple, swirl.svg
+    om1_l2       || om1 ||_L2 volume norm            omega1_budget
+    om1_grad_int trapezoid of int |grad om1|^2 dx    omega1_budget
+    u1_l4_int    trapezoid of int u1^4 dx            omega1_budget
+    ualpha_s     int |r^(2 - 3/s) u1|^s dx           axns criteria's lpq_norm
+    quartic_lhs  int v_phi^4 dx                      quartic bound check
+    quartic_rhs  swirl_sup^2 int u1^2 dx             quartic bound check
 
 instantaneous(state, s) is the one place these formulas are written and
 the only evaluator of a column; the acceptance checks read it too.  It
 takes each stencil once (the velocity from reconstruct_velocity, which
-leaves d_dz(psi1) in a workspace buffer, then d_dz of u1, and d_dr/d_dz
-of w and om1), and forms r^2 u1 and its maximum once for swirl_sup and
-quartic_rhs.  Every weight is a function of r alone, so every integral
-is one quadrature: the integrand is summed along z into one value per
-ring (grid.ring_sums, which squares in the same pass), and the nr sums
-are dotted with an r-only weight such as quad_w, quad_w r^2 or
-quad_w r^(2s - 3); face differences are scaled by 1/h^2 once, on the
-sums.  Integrands that differ by a power of r share their sums:
-sum (d_dz psi1)^2 serves critA, D and v_r^2 in E; sum u1^2 serves D and
-v_phi^2 in E; sum u1^4 serves u1_l4 and cfz_l2; sum om1^2 serves om1_l2
-and critB.  The quartic pair is formed elementwise and reduced by one
-path.  The integrands live in buffers of the grid's workspace
+leaves d_dz(psi1) in a workspace buffer, then d_dr and d_dz of om1), and
+forms r^2 u1 and its maximum once for swirl_sup and quartic_rhs.  Every
+weight is a function of r alone, so every integral is one quadrature:
+the integrand is summed along z into one value per ring (grid.ring_sums,
+which squares in the same pass), and the nr sums are dotted with an
+r-only weight such as quad_w, quad_w r^2 or quad_w r^(2s - 3); face
+differences are scaled by 1/h^2 once, on the sums.  Integrands that
+differ by a power of r share their sums: sum (d_dz psi1)^2 serves critA,
+D and v_r^2 in E; sum u1^2 serves D and v_phi^2 in E; sum om1^2 serves
+om1_l2 and critB.  The quartic pair is formed elementwise and reduced by
+one path.  The integrands live in buffers of the grid's workspace
 (grid.work), so a sample allocates only the velocity and one radial
 derivative.  One finiteness check on the finished entries replaces a
 check per integrand.
@@ -63,7 +61,7 @@ import math
 
 import numpy as np
 
-from .grid import ODD, Grid, d_dr, d_dr_values, d_dz_values, ring_sums
+from .grid import Grid, d_dr, d_dz_values, ring_sums
 from .kinematics import State, reconstruct_velocity
 
 
@@ -77,9 +75,6 @@ class MonitorRow:
     critA_int: float
     critB_int: float
     swirl_sup: float
-    cfz_l2: float
-    cfz_grad_int: float
-    phi_l2: float
     om1_l2: float
     om1_grad_int: float
     u1_l4_int: float
@@ -202,12 +197,10 @@ def instantaneous(state: State, s: int) -> dict:
     non-finite entry (an overflow) raises ValueError.
     """
     g = state.grid
-    ws = g.work
     w, r2 = g.quad_w, g.r**2
-    w_r2 = w * r2
     u = state.u1.values
     om = state.omega1.values
-    t1, t2, dpz, usq = ws.kernel[:4]
+    tmp, dpz, usq = g.work.kernel[:3]
 
     def sq_sum(x):  # int x^2 dx
         return w @ ring_sums(x, x)
@@ -225,30 +218,20 @@ def instantaneous(state: State, s: int) -> dict:
     dpz_sums = ring_sums(dpz, dpz)  # (v_r / r)^2, also critA's
     # (v_r / r)^2 + (v_phi / r)^2, and times r^2 the rest of |v|^2
     slow = dpz_sums + ring_sums(usq)
-    energy = 0.5 * (w @ vz_sums + w_r2 @ slow)
+    energy = 0.5 * (w @ vz_sums + (w * r2) @ slow)
     dissipation += w @ slow
-    u4_sums = ring_sums(usq, usq)
     om_sums = ring_sums(om, om)
-    # v_phi^2 / r = r u1^2 (w in the column table) vanishes at the axis: odd
-    cfz = np.multiply(ws.r, usq, out=t1)
-    cfz_grad = sq_sum(d_dr_values(cfz, g.dr, ODD, out=t2)) + sq_sum(
-        d_dz_values(cfz, g.dz, out=dpz)
-    )
     sup, q_lhs, q_rhs = _swirl_quartic(g, u, usq)
     # the ScalarField wrapper keeps d_dr a name looked up here, where
     # perfbench's tracer wraps it
-    om1_grad = sq_sum(d_dr(state.omega1).values) + sq_sum(d_dz_values(om, g.dz, out=t2))
+    om1_grad = sq_sum(d_dr(state.omega1).values) + sq_sum(d_dz_values(om, g.dz, out=tmp))
     inst = {
         "E": float(energy),
         "D": float(dissipation),
         "critA": float(2.0 * np.pi * g.dr * g.dz * np.sum(dpz_sums)),
         "critB": float(2.0 * np.pi * g.dr * g.dz * (r2 @ om_sums)),
         "swirl_sup": sup,
-        "cfz_l2": float(w_r2 @ u4_sums),
-        "cfz_grad": float(cfz_grad),
-        "u1_l4": float(w @ u4_sums),
-        # -d_dz(u1) = om_r / r
-        "phi_l2": math.sqrt(sq_sum(d_dz_values(u, g.dz, out=t1))),
+        "u1_l4": float(w @ ring_sums(usq, usq)),
         "om1_l2": math.sqrt(w @ om_sums),
         "om1_grad": float(om1_grad),
         "ualpha_s": _ualpha_integral(g, u, s, s),

@@ -27,7 +27,8 @@ from .scenarios import Scenario, init_scenario, manufactured_solution
 
 
 class BlowUpError(RuntimeError):
-    """Raised when an update produces non-finite fields."""
+    """Raised when an update produces non-finite fields, or when a run's
+    step no longer advances t."""
 
 
 @dataclass(frozen=True)
@@ -169,10 +170,11 @@ def run(cfg: SolverConfig, out_dir: str | None = None):
 
     Samples the monitor series every output_every steps and at the final
     time.  When out_dir is given, each sampled state is also written as a
-    snapshot and the series as series.csv; on blow-up the partial outputs
-    are flushed before the error propagates.  Only the current state is
-    held, so memory does not grow with the number of samples; read the
-    sampled states back from the snapshots.
+    snapshot and the series as series.csv.  A step that gives non-finite
+    fields, or a dt too small to advance t, raises BlowUpError after the
+    partial outputs are flushed.  Only the current state is held, so
+    memory does not grow with the number of samples; read the sampled
+    states back from the snapshots.
 
     Returns (final_state, series).
     """
@@ -197,7 +199,9 @@ def run(cfg: SolverConfig, out_dir: str | None = None):
     n_steps = 0
     try:
         while state.t < t_stop:
-            dt = stable_dt(state, cfg)
+            dt, t = stable_dt(state, cfg), state.t
+            if not t + dt > t:
+                raise BlowUpError(f"the step from t = {t} does not advance t (dt = {dt:.2g})")
             state = step(state, dt, cfg, forcing)
             n_steps += 1
             if n_steps % cfg.output_every == 0 or state.t >= t_stop:

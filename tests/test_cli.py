@@ -126,6 +126,38 @@ def test_run_blow_up_exits_1_and_keeps_outputs(tmp_path, capsys, monkeypatch):
     assert [storage.read_snapshot(p)[0].t for p in snaps] == [row.t for row in rows]
 
 
+STALL_CONFIG = """
+nu = 0.001
+R = 1.0
+Lz = 1.0
+nr = 32
+nz = 32
+cfl = 0.5
+t_end = 1.0
+scenario = gaussian_ring
+amplitude = 20.0
+output_every = 5
+"""
+
+
+def test_run_that_stops_advancing_exits_1_and_keeps_outputs(tmp_path, capsys):
+    """At 32^2 this strong ring blows up with finite fields: the advective
+    guard shrinks dt until t + dt == t near t = 0.476.  If the scheme ever
+    stops this blow-up (an exact discrete energy identity would), this
+    test needs another trigger."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(STALL_CONFIG)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: the step from t = ") and "does not advance t" in err
+    rows = storage.read_series(out / "series.csv")
+    snaps = sorted((out / "snapshots").glob("*.axns"))
+    assert len(rows) == len(snaps) > 1
+    assert [storage.read_snapshot(p)[0].t for p in snaps] == [row.t for row in rows]
+    assert rows[-1].t < 1.0
+
+
 def test_run_missing_config_exit_2(tmp_path, capsys):
     # a config that does not exist, and an --out that is a file, not a directory
     cfg, out = tmp_path / "run.cfg", tmp_path / "o"

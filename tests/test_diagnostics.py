@@ -17,7 +17,6 @@ from hypothesis import given, strategies as st
 from axns import diagnostics as dg
 from axns.grid import (
     EVEN,
-    ODD,
     GridSpec,
     ScalarField,
     d_dr,
@@ -49,9 +48,6 @@ def test_column_order_frozen():
         "critA_int",
         "critB_int",
         "swirl_sup",
-        "cfz_l2",
-        "cfz_grad_int",
-        "phi_l2",
         "om1_l2",
         "om1_grad_int",
         "u1_l4_int",
@@ -148,57 +144,24 @@ def test_quartic_zero(grid16):
     assert (inst["quartic_lhs"], inst["quartic_rhs"]) == (0.0, 0.0)
 
 
-def test_phi_gamma_norms(grid64):
-    # u1 = cos(2 pi z): phi_l2 = |sin(k dz)/dz| sqrt(pi/2) exactly
-    g = grid64
-    k = 2 * np.pi
-    u1 = field_from_function(g, lambda r, z: np.cos(k * z) + 0 * r, EVEN)
-    om = field_from_function(g, lambda r, z: 1.0 + 0 * r, EVEN)
-    inst = dg.instantaneous(make_state(g, u1=u1, om1=om), 4)
-    phi, gamma = inst["phi_l2"], inst["om1_l2"]
-    ktil = math.sin(k * g.dz) / g.dz
-    assert math.isclose(phi, ktil * math.sqrt(math.pi / 2), rel_tol=1e-12)
-    assert math.isclose(phi, k * math.sqrt(math.pi / 2), rel_tol=2e-3)
-    assert math.isclose(gamma, math.sqrt(math.pi), rel_tol=1e-13)
+def test_om1_l2_constant_vorticity(grid64):
+    # om1 = 1: ||om1||_L2^2 = int dx = pi R^2 Lz exactly
+    om = field_from_function(grid64, lambda r, z: 1.0 + 0 * r, EVEN)
+    got = dg.instantaneous(make_state(grid64, om1=om), 4)["om1_l2"]
+    assert math.isclose(got, math.sqrt(math.pi), rel_tol=1e-13)
 
 
-def cfz_entries(state):
-    inst = dg.instantaneous(state, 4)
-    return inst["cfz_l2"], inst["cfz_grad"], inst["u1_l4"]
-
-
-def test_cfz_constant_swirl(grid32):
-    # w = r u1^2 = r: the l2 and l4 entries follow the midpoint closed
-    # forms; the gradient entry picks up the wall ring, where the mirrored
-    # ghost of the (nonvanishing) probe gives slope -(R - Dr)/Dr
-    g = grid32
-    wsq, grad, l4 = cfz_entries(const_u1_state(g, 1.0))
-    assert math.isclose(wsq, 2 * math.pi * (0.25 - g.dr**2 / 8.0), rel_tol=1e-13)
+def test_u1_l4_closed_forms(grid32):
+    # u1 = 1: int u1^4 dx = pi R^2 Lz exactly
+    l4 = dg.instantaneous(const_u1_state(grid32, 1.0), 4)["u1_l4"]
     assert math.isclose(l4, math.pi, rel_tol=1e-13)
-    R = 1.0
-    interior = math.pi * (R - g.dr) ** 2
-    wall = ((R - g.dr) / g.dr) ** 2 * 2 * math.pi * g.r[-1] * g.dr
-    assert math.isclose(grad, interior + wall, rel_tol=1e-12)
-
-
-def test_cfz_conforming_bump():
-    # u1 = (1 - r^2)^2 vanishes at the wall; beta integrals give
-    # (pi/90, pi/7, pi/9) in the continuum
+    # u1 = (1 - r^2)^2 vanishes at the wall: int u1^4 dx -> pi/9
     errs = []
     for n in (48, 96):
         g = make_grid(GridSpec(R=1.0, Lz=1.0, nr=n, nz=8))
         u1 = field_from_function(g, lambda r, z: (1 - r * r) ** 2 + 0 * z, EVEN)
-        wsq, grad, l4 = cfz_entries(make_state(g, u1=u1))
-        errs.append(
-            (
-                abs(wsq - math.pi / 90),
-                abs(grad - math.pi / 7),
-                abs(l4 - math.pi / 9),
-            )
-        )
-    for j in range(3):
-        assert errs[1][j] < errs[0][j]
-    assert errs[1][0] < 1e-4 and errs[1][1] < 1e-3 and errs[1][2] < 1e-4
+        errs.append(abs(dg.instantaneous(make_state(g, u1=u1), 4)["u1_l4"] - math.pi / 9))
+    assert errs[1] < errs[0] and errs[1] < 1e-4
 
 
 def test_weighted_swirl_closed_forms(grid64):
@@ -263,11 +226,7 @@ def reference_instantaneous(state, s):
     m = float(np.max(np.abs(a)))
     quartic_lhs = integrate_volume(ScalarField(g, (a * a) * (u * u), EVEN))
     quartic_rhs = integrate_volume(ScalarField(g, (m * m) * (u * u), EVEN))
-    wfield = ScalarField(g, r * (u * u), ODD)
-    cfz_l2 = (w * r2) @ sq(u * u)
-    cfz_grad = w @ sq(d_dr(wfield).values) + w @ sq(d_dz(wfield).values)
     u1_l4 = w @ sq(u * u)
-    phi_l2 = norm_l2(d_dz(state.u1))
     om1_l2 = norm_l2(state.omega1)
     om1_grad = w @ sq(d_dr(state.omega1).values) + w @ sq(d_dz(state.omega1).values)
     # |u1|^s = x^2 with x = |u1|^(s / 2)
@@ -275,8 +234,7 @@ def reference_instantaneous(state, s):
     ualpha_s = (w * g.r ** ((2.0 * s - 3.0) * s / s)) @ ring_sums(x, x)
     return dict(
         E=E, D=D, critA=critA, critB=critB, swirl_sup=m,
-        cfz_l2=cfz_l2, cfz_grad=cfz_grad, u1_l4=u1_l4, phi_l2=phi_l2,
-        om1_l2=om1_l2, om1_grad=om1_grad, ualpha_s=ualpha_s,
+        u1_l4=u1_l4, om1_l2=om1_l2, om1_grad=om1_grad, ualpha_s=ualpha_s,
         quartic_lhs=quartic_lhs, quartic_rhs=quartic_rhs,
     )
 
@@ -313,19 +271,13 @@ def elementwise_instantaneous(state, s):
     )
     a = (r**2) * u
     m = float(np.max(np.abs(a)))
-    wfield = ScalarField(g, r * u * u, ODD)
-    gw_r, gw_z = d_dr(wfield).values, d_dz(wfield).values
-    du = d_dz(state.u1).values
     go_r, go_z = d_dr(state.omega1).values, d_dz(state.omega1).values
     return dict(
         E=E, D=D,
         critA=float(2.0 * np.pi * g.dr * g.dz * np.sum(dpz * dpz)),
         critB=float(2.0 * np.pi * g.dr * g.dz * np.sum((r**2) * om * om)),
         swirl_sup=m,
-        cfz_l2=total(wfield.values**2),
-        cfz_grad=total(gw_r * gw_r + gw_z * gw_z),
         u1_l4=total((u * u) ** 2),
-        phi_l2=math.sqrt(total(du * du)),
         om1_l2=math.sqrt(total(om * om)),
         om1_grad=total(go_r * go_r + go_z * go_z),
         ualpha_s=total(r ** (2.0 * s - 3.0) * np.abs(u) ** s),
@@ -372,11 +324,9 @@ def test_instantaneous_agrees_with_elementwise_sums(s, seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_instantaneous_norms_are_norm_l2(seed):
-    # one volume quadrature: the norm columns are norm_l2 to the bit
+    # one volume quadrature: the norm column is norm_l2 to the bit
     state = random_state(seed)
-    inst = dg.instantaneous(state, 4)
-    assert inst["om1_l2"] == norm_l2(state.omega1)
-    assert inst["phi_l2"] == norm_l2(d_dz(state.u1))
+    assert dg.instantaneous(state, 4)["om1_l2"] == norm_l2(state.omega1)
 
 
 def test_instantaneous_allocates_few_full_size_arrays(grid64, traced_peak):
