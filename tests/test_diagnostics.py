@@ -151,10 +151,14 @@ def test_om1_l2_constant_vorticity(grid64):
     assert math.isclose(got, math.sqrt(math.pi), rel_tol=1e-13)
 
 
-def test_u1_l4_closed_forms(grid32):
-    # u1 = 1: int u1^4 dx = pi R^2 Lz exactly
+def test_cfz_constant_swirl(grid32):
+    # u1 = 1, the swirl whose centrifugal probe r u1^2 is r:
+    # int u1^4 dx = pi R^2 Lz exactly
     l4 = dg.instantaneous(const_u1_state(grid32, 1.0), 4)["u1_l4"]
     assert math.isclose(l4, math.pi, rel_tol=1e-13)
+
+
+def test_cfz_conforming_bump():
     # u1 = (1 - r^2)^2 vanishes at the wall: int u1^4 dx -> pi/9
     errs = []
     for n in (48, 96):
