@@ -115,12 +115,13 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
 
 
 def step(state: State, dt: float, cfg: SolverConfig, forcing=None) -> State:
-    """One SSP-RK3 step of size dt; dt must respect stable_dt.  The stages
-    work on raw arrays in the grid's workspace (rhs's tendencies are scaled
-    in place); only the returned State owns fresh arrays.  solve_stream's
-    check of each stage's om1 and State's check of the result are the
-    step's finiteness checks, re-raised as BlowUpError: a non-finite u1
-    reaches om1 through 2 u1 d_dz(u1) at the next stage."""
+    """One SSP-RK3 step of size dt; dt must respect stable_dt, and run is
+    its only caller.  The stages work on raw arrays in the grid's workspace
+    (rhs's tendencies are scaled in place); only the returned State owns
+    fresh arrays.  solve_stream's check of each stage's om1 and State's
+    check of the result are the step's finiteness checks, re-raised as
+    BlowUpError: a non-finite u1 reaches om1 through 2 u1 d_dz(u1) at the
+    next stage."""
     g = state.grid
     if forcing is not None and forcing.grid is not g:
         raise ValueError("step: the forcing was sampled on another grid")

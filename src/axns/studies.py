@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import SolverConfig, diffusive_dt, run, step
+from .dynamics import SolverConfig, diffusive_dt, run
 from .elliptic import solve_stream, stream_residual
 from .grid import (
     EVEN,
@@ -28,7 +28,7 @@ from .grid import (
     zeros_field,
 )
 from .kinematics import State, divergence_residual, reconstruct_velocity
-from .scenarios import Scenario, init_scenario, manufactured_solution
+from .scenarios import Scenario, manufactured_solution
 
 
 def observed_order(errors) -> list[float]:
@@ -180,31 +180,25 @@ def dynamics_spatial_study():
 
 
 def dynamics_temporal_study():
-    """Errors of fixed-step integration at dt, dt/2 and dt/4 against a dt/16
+    """Errors of run at n0, 2 n0 and 4 n0 steps against a 16 n0 step
     reference on one 32^2 grid (nu = 0.05, t_end = 0.1), so the common
     spatial error cancels and the step-size order stands alone.  The base
-    step sits at 0.8 of the diffusive limit: large enough that even the
-    dt/4 error is far above the roundoff floor, small enough for a stable
-    three-stage step."""
+    step sits at 0.8 of the diffusive limit ddt: large enough that even the
+    n0/4 error is far above the roundoff floor, small enough for a stable
+    three-stage step.  Each level runs at cfl = t_end / (n ddt): the
+    diffusive guard binds every step of this forced flow and cfl * ddt
+    rounds to t_end / n, so run takes exactly n steps of t_end / n, which
+    tests/test_studies.py::test_temporal_study_steps_at_fixed_dt pins."""
     nu, t_end = 0.05, 0.1
     cfg = _mms_config(32, nu, t_end, cfl=0.8)
-    grid = make_grid(cfg.grid)
-    forcing = manufactured_solution(grid, nu, cfg.scenario)
-    n0 = max(4, math.ceil(t_end / (0.8 * diffusive_dt(grid, nu))))
+    ddt = diffusive_dt(make_grid(cfg.grid), nu)
+    n0 = max(4, math.ceil(t_end / (0.8 * ddt)))
 
-    def integrate(nsteps: int) -> State:
-        state = init_scenario(cfg.scenario, grid)
-        dt = t_end / nsteps
-        for _ in range(nsteps):
-            state = step(state, dt, cfg, forcing)
-        return state
+    def final(n: int) -> State:
+        return run(replace(cfg, cfl=t_end / (n * ddt)))[0]
 
-    ref = integrate(n0 * 16)
-    errors = []
-    for j in range(3):
-        final = integrate(n0 * 2**j)
-        errors.append(_field_error(final, ref.u1.values, ref.omega1.values))
-    return errors
+    ref = final(n0 * 16)
+    return [_field_error(final(n0 * 2**j), ref.u1.values, ref.omega1.values) for j in range(3)]
 
 
 def _restrict(fine: np.ndarray) -> np.ndarray:
