@@ -11,8 +11,10 @@ grid.modes, a ModeBasis built on first use and freed with the grid, holds
 mu_k, s_k and that eigendecomposition for every caller.  diag(w) B is
 symmetric for the r^3 measure w = grid.radial_weights: -lap3 is symmetric
 on rows 1.. in the measure 2 pi w dr dz, and w_0 = 0 is the algebraic form
-of sub[1] = 0.  On rows 1.., D = diag(sqrt(w)) makes S = D B D^-1 symmetric,
-and B = V diag(lam) V^-1 with V = D^-1 Q, V^-1 = Q^T D from S = Q lam Q^T.
+of sub[1] = 0.  On rows 1.., D = diag(sqrt(w / w_1)) makes S = D B D^-1
+symmetric, and B = V diag(lam) V^-1 with V = D^-1 Q, V^-1 = Q^T D from
+S = Q lam Q^T.  w / w_1 does not change under r -> r / 2^m, so the whole
+solve scales exactly with the cylinder (sqrt(w) would pick up 2^(-3m/2)).
 eigh's smallest lam carry an absolute error of about eps |S|, so the build
 refines every pair once in np.longdouble: one inverse-iteration sweep and
 a Rayleigh quotient.  A solve is one rfft into a per-grid buffer read as
@@ -81,7 +83,8 @@ class ModeBasis:
         self.mu = mu = (2.0 - 2.0 * np.cos(theta)) / (grid.dz * grid.dz)
         self.s = np.sin(theta) / grid.dz
         ld, f8 = np.longdouble, np.float64
-        d = np.sqrt(grid.radial_weights[1:].astype(ld))  # S = D B D^-1, D = diag(d)
+        w = grid.radial_weights.astype(ld)
+        d = np.sqrt(w[1:] / w[1])  # S = D B D^-1, D = diag(d); w / w_1 is scale-free
         dia, off = -diag[1:].astype(ld), -np.sqrt(sup[1:-1].astype(ld) * sub[2:])
         s = np.diag(dia.astype(f8)) + np.diag(off.astype(f8), 1)
         lam, q = _refine(dia, off, *np.linalg.eigh(s, UPLO="U"))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from axns.diagnostics import COLUMNS
 from axns.dynamics import (
     BlowUpError,
     SolverConfig,
@@ -453,3 +454,45 @@ def test_run_memory_does_not_grow_with_rows(traced_peak):
     short = traced_peak(run_to(0.0025))
     long = traced_peak(run_to(0.025))
     assert long <= 1.5 * short, (short, long)
+
+
+# power m of lambda that each monitor column picks up under the scaling map
+SCALING_POWERS = {
+    "t": -2, "E": -1, "D": 1, "critA": 2, "critB": 2, "critA_int": 0, "critB_int": 0,
+    "swirl_sup": 0, "om1_l2": 1.5, "om1_grad_int": 3, "u1_l4_int": 3, "ualpha_s": 0,
+    "quartic_lhs": 1, "quartic_rhs": 1,
+}
+
+
+def test_run_is_exactly_covariant_under_navier_stokes_scaling():
+    # v -> lam v(lam x, lam^2 t) at fixed nu maps (u1, om1, psi1) to
+    # (lam^2 u1, lam^3 om1, lam psi1) on the cylinder shrunk by lam, up to
+    # t_end / lam^2.  For lam a power of 2 every grid constant, stencil
+    # coefficient and step size scales by a power of 2, so every operation
+    # scales exactly; om1_l2's lam^1.5 is inexact at lam = 2
+    def pure_swirl(lam):
+        cfg = SolverConfig(
+            nu=0.02,
+            cfl=0.5,
+            t_end=0.3 / lam**2,
+            grid=GridSpec(R=1.0 / lam, Lz=1.0 / lam, nr=32, nz=32),
+            scenario=Scenario(name="pure_swirl", amplitude=3.0 * lam**2),
+            output_every=5,
+        )
+        return run(cfg)
+
+    final, series = pure_swirl(1)
+    assert set(SCALING_POWERS) == set(COLUMNS)
+    for lam in (2, 4):
+        got, got_series = pure_swirl(lam)
+        assert np.array_equal(got.u1.values, lam**2 * final.u1.values)
+        assert np.array_equal(got.omega1.values, lam**3 * final.omega1.values)
+        assert np.array_equal(got.psi1.values, lam * final.psi1.values)
+        assert len(got_series.rows) == len(series.rows)
+        for row, want_row in zip(got_series.rows, series.rows):
+            for col, m in SCALING_POWERS.items():
+                value, want = getattr(row, col), lam**m * getattr(want_row, col)
+                if col == "om1_l2" and lam == 2:
+                    assert abs(value - want) <= np.spacing(want), (lam, col, row.t)
+                else:
+                    assert value == want, (lam, col, row.t)
