@@ -7,6 +7,9 @@ criteria (recompute diagnostics offline from stored snapshots), verify
 Exit codes: 0 success, 1 failed verification or a run aborted by
 BlowUpError (non-finite fields, or a step that no longer advances t), 2
 usage errors (bad arguments, configs or snapshots, and file-system errors).
+
+The check layer (verify, studies) is imported only by the commands that
+run it, so run and criteria never load it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,17 @@ from .config import ConfigError, parse_config
 from .diagnostics import CriteriaSeries, lpq_norm, ualpha_norm
 from .dynamics import BlowUpError, run
 from .storage import read_snapshot_dir, write_series
-from .studies import observed_order, self_convergence_study
-from .verify import SUITES, run_suites
+
+
+def _suite(name: str) -> str:
+    """--suite's type: a name in verify.SUITES, or all."""
+    from .verify import SUITES
+
+    names = SUITES + ("all",)
+    if name not in names:
+        choices = ", ".join(map(repr, names))
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {choices})")
+    return name
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_criteria)
 
     p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--suite", required=True, choices=SUITES + ("all",))
+    p.add_argument("--suite", required=True, type=_suite, help="suite name, or all")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("convergence", help="self-refinement study of a config")
@@ -92,11 +104,15 @@ def _cmd_criteria(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITES, run_suites
+
     names = SUITES if args.suite == "all" else (args.suite,)
     return 0 if run_suites(names) else 1
 
 
 def _cmd_convergence(args) -> int:
+    from .studies import observed_order, self_convergence_study
+
     if args.levels < 2:
         raise ConfigError(f"key levels: must be at least 2, got {args.levels}")
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics, storage
 from .elliptic import solve_stream
-from .grid import EVEN, Grid, GridSpec, ScalarField, check_count, make_grid
+from .grid import EVEN, Grid, GridSpec, ScalarField, check_count, empty, make_grid
 # d_dz is not called here: perfbench's self-test looks the name up in this module
 from .grid import d_dr_values, d_dz, d_dz_values, lap3_values  # noqa: F401
 from .kinematics import State, velocity_values
@@ -154,9 +154,9 @@ def step(state: State, dt: float, cfg: SolverConfig, forcing=None) -> State:
             dx *= dt
             dx += xs
             dx *= 2.0 / 3.0
-        u_n = u0 / 3.0
+        u_n = np.divide(u0, 3.0, out=empty(u0.shape))
         u_n += du
-        w_n = w0 / 3.0
+        w_n = np.divide(w0, 3.0, out=empty(w0.shape))
         w_n += dw
         om_n = ScalarField(g, w_n, EVEN)
         return State(

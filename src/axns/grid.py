@@ -32,7 +32,13 @@ fields and in the stream-function equation.
 The array stencils (d_dr_values, d_dz_values, d2_dz2_values, lap3_values)
 take raw node values and write into an optional C-contiguous (nr, nz)
 out= array; the ScalarField wrappers (d_dr, d_dz, modified_laplacian)
-always return fresh arrays.  Each Grid carries one Workspace (grid.work):
+always return fresh arrays.  Every full-size array the hot paths stream,
+fresh or reused, comes from empty(), whose data starts on a 64-byte
+boundary.  numpy's own buffers are only 16-byte aligned, at 0, 16, 32 or
+48 mod 64 as the heap lays them out, and a misaligned 128^2 multiply ran
+1.8-2.2x slower than an aligned one, so the speed of a kernel followed
+the heap layout of the process.  Results do not depend on the offset;
+only the speed does.  Each Grid carries one Workspace (grid.work):
 scratch (nr, nz) arrays and read-only full-size copies of the per-grid
 constants the array kernels multiply by, built on first use and freed
 with the grid.  The workspace is non-reentrant per grid, and no value
@@ -43,6 +49,7 @@ by the next kernel call on that grid.  Volume integrals sum along z first
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
 from dataclasses import dataclass
@@ -54,6 +61,19 @@ EVEN = "even"
 ODD = "odd"
 
 _PARITIES = (EVEN, ODD)
+
+ALIGN = 64  # bytes: one cache line, and the widest SIMD load
+
+
+def empty(shape, dtype=np.float64) -> np.ndarray:
+    """An uninitialized C-contiguous array whose data starts on an ALIGN-byte
+    boundary: over-allocate by ALIGN bytes and slice.  The address comes
+    from ctypes.addressof, which costs a third of raw.ctypes.data; the hot
+    paths call this several times per step and per snapshot."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + ALIGN, np.uint8)
+    start = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) % ALIGN
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
 def check_count(name: str, value, least: int) -> None:
@@ -164,6 +184,15 @@ class Workspace:
     Non-reentrant: a kernel may overwrite any buffer of its group, and no
     value lives here across calls.
 
+    Every buffer and constant comes from empty(), so its data starts on a
+    64-byte boundary.  The stage pair stays here rather than being
+    allocated per step.  A 128^2 float64 array is exactly glibc's 128 KiB
+    mmap threshold, so whether a fresh one is mapped and faulted in anew
+    depends on the allocator's history.  Allocated per step, the pair
+    measured +5 to +12% mms_forced_128 solve_s and up to 11,741 against
+    1,244 minor faults per call; a warm in-process loop of the same run saw
+    about 900 per call either way.
+
     The constants are read-only full-size copies of per-row columns: r,
     neg_r (-r), r2 (r^2) and the three lap3 bands sub, diag and sup.  A
     full x full multiply into out= runs about 1.5x faster than one that
@@ -178,7 +207,8 @@ class Workspace:
         shape = (grid.nr, grid.nz)
 
         def full(col: np.ndarray) -> np.ndarray:
-            a = np.broadcast_to(col[:, None], (col.size, grid.nz)).copy()
+            a = empty(shape)
+            a[...] = col[:, None]
             a.flags.writeable = False
             return a
 
@@ -186,9 +216,9 @@ class Workspace:
         self.neg_r = full(-grid.r)
         self.r2 = full(grid.r**2)
         self.sub, self.diag, self.sup = map(full, grid.radial_bands)
-        self.leaf = tuple(np.empty(shape) for _ in range(2))
-        self.kernel = tuple(np.empty(shape) for _ in range(9))
-        self.stage = tuple(np.empty(shape) for _ in range(2))
+        self.leaf = tuple(empty(shape) for _ in range(2))
+        self.kernel = tuple(empty(shape) for _ in range(9))
+        self.stage = tuple(empty(shape) for _ in range(2))
 
 
 def make_grid(spec: GridSpec) -> Grid:
@@ -258,7 +288,7 @@ def d_dr_values(values: np.ndarray, dr: float, parity: str, out=None) -> np.ndar
     from the parity, the wall ghost from the Dirichlet extrapolation."""
     axis = values[0] if parity == EVEN else -values[0]
     if out is None:
-        out = np.empty(values.shape)
+        out = empty(values.shape)
     np.subtract(values[2:], values[:-2], out=out[1:-1])
     np.subtract(values[1], axis, out=out[0])
     np.subtract(-values[-1], values[-2], out=out[-1])
@@ -274,7 +304,7 @@ def d_dz_values(values: np.ndarray, dz: float, out=None) -> np.ndarray:
     """
     v = np.ascontiguousarray(values)
     if out is None:
-        out = np.empty(v.shape)
+        out = empty(v.shape)
     flat, o = v.reshape(-1), out.reshape(-1)
     np.subtract(flat[2:], flat[:-2], out=o[1:-1])
     np.subtract(v[:, 1], v[:, -1], out=out[:, 0])

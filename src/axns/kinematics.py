@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import EVEN, ODD, Grid, ScalarField, d_dr, d_dr_values, d_dz, d_dz_values, norm_l2
+from .grid import EVEN, ODD, Grid, ScalarField, d_dr, d_dr_values, d_dz, d_dz_values, empty
+from .grid import norm_l2
 
 
 @dataclass(eq=False)
@@ -79,12 +80,11 @@ def reconstruct_velocity(state: State, dpsi_dz=None) -> VelocityFields:
     into dpsi_dz when the caller passes an (nr, nz) array, else formed in
     v_r's array; only v_r, v_z and v_phi = r u1 are allocated."""
     g = state.grid
-    v_r = np.empty((g.nr, g.nz))
-    v_z = np.empty((g.nr, g.nz))
+    v_r, v_z, v_phi = (empty((g.nr, g.nz)) for _ in range(3))
     velocity_values(g, state.psi1.values, v_r if dpsi_dz is None else dpsi_dz, v_r, v_z)
     return VelocityFields(
         v_r=ScalarField(g, v_r, ODD),
-        v_phi=ScalarField(g, g.work.r * state.u1.values, ODD),
+        v_phi=ScalarField(g, np.multiply(g.work.r, state.u1.values, out=v_phi), ODD),
         v_z=ScalarField(g, v_z, EVEN),
     )
 

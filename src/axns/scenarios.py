@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .elliptic import solve_stream
 from .grid import EVEN, Grid, GridSpec, ScalarField, check_count, zeros_field
@@ -162,6 +161,8 @@ def manufactured_solution(
     F_1 = -f - nu lap3(f).  Advection and stretching are quadratic: the mode
     F_2 = v_r d_r f + v_z d_z f - stretching, per a^2, written term by term.
     """
+    from numpy.polynomial import Polynomial  # only manufactured runs load it
+
     A = float(scenario.amplitude)
     R, Lz = float(grid.spec.R), float(grid.spec.Lz)
     kappa = 2.0 * np.pi * int(scenario.mode_k) / Lz

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import COLUMNS, CriteriaSeries, MonitorRow
-from .grid import EVEN, Grid, GridSpec, ScalarField, make_grid
+from .grid import EVEN, Grid, GridSpec, ScalarField, empty, make_grid
 from .kinematics import State
 from .svgplot import emit_plots
 
@@ -98,7 +98,12 @@ def read_snapshot(path, grid: Grid | None = None) -> tuple[State, float]:
             grid = make_grid(spec)
         # u1, om1, psi1 in turn, each with the radial index varying fastest
         arrays = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size).reshape(3, nz, nr)
-        state = State(*(ScalarField(grid, a.T.copy(), EVEN) for a in arrays), t=t)
+        fields = []
+        for a in arrays:
+            values = empty((nr, nz))  # 64-byte aligned, like every hot array
+            values[...] = a.T
+            fields.append(ScalarField(grid, values, EVEN))
+        state = State(*fields, t=t)
     except ValueError as err:
         raise ValueError(f"snapshot {path}: {err}") from None
     return state, nu

@@ -18,6 +18,8 @@ from axns.grid import EVEN, GridSpec, ScalarField, make_grid
 from axns.kinematics import State
 from axns.verify import CHECKS, SUITES
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 CONFIG = """
 nu = 0.2
 R = 1.0
@@ -335,10 +337,35 @@ def test_criteria_blames_s_for_the_exponents_it_defaults(run_dir, tmp_path, caps
     assert not out_csv.exists()
 
 
-def test_verify_unknown_suite_usage_error():
+def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "nonsense"])
     assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "'nonsense'" in stderr
+    assert all(repr(name) in stderr for name in SUITES + ("all",))
+
+
+def test_run_and_criteria_load_no_check_layer(tmp_path):
+    # axns run and axns criteria import neither the check layer nor the
+    # polynomials that only manufactured runs use
+    cfg = tmp_path / "ring.cfg"
+    cfg.write_text(CONFIG)
+    out = tmp_path / "out"
+    code = (
+        "import sys\n"
+        "from axns.cli import main\n"
+        f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+        f"argv = ['criteria', '--snapshots', {str(out / 'snapshots')!r}]\n"
+        f"assert main(argv + ['--out', {str(tmp_path / 'offline.csv')!r}]) == 0\n"
+        "names = ('axns.verify', 'axns.studies', 'numpy.polynomial')\n"
+        "print([name for name in names if name in sys.modules])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_convergence_command(tmp_path, capsys):
