@@ -8,8 +8,8 @@ Exit codes: 0 success, 1 failed verification or a run aborted by
 BlowUpError (non-finite fields, or a step that no longer advances t), 2
 usage errors (bad arguments, configs or snapshots, and file-system errors).
 
-The check layer (verify, studies) is imported only by the commands that
-run it, so run and criteria never load it.
+The check layer (verify, with the refinement studies) is imported only by
+the commands that run it, so run and criteria never load it.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    from .studies import observed_order, self_convergence_study
+    from .verify import observed_order, self_convergence_study
 
     if args.levels < 2:
         raise ConfigError(f"key levels: must be at least 2, got {args.levels}")

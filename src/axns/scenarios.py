@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import solve_stream
-from .grid import EVEN, Grid, GridSpec, ScalarField, check_count, zeros_field
+from .grid import EVEN, Grid, GridSpec, ScalarField, check_count, empty, zeros_field
 from .kinematics import State
 
 SCENARIO_NAMES = ("zero", "pure_swirl", "gaussian_ring", "manufactured")
@@ -109,20 +109,28 @@ class ManufacturedSolution:
     """Closed-form fields and forcing, sampled on one grid.
 
     Every key has the form sum_m exp(-m t) F_m(r, z), m = 1, 2.  All
-    factors of all keys are sampled on .grid when the solution is built,
-    so an evaluation costs one scalar exp and one axpy per mode.  A
-    solution built with nu = None has the fields but no forcing keys.
+    factors of all keys are sampled on .grid, into empty() arrays, when the
+    solution is built, so an evaluation costs one scalar exp and one
+    aligned axpy per mode.  A solution built with nu = None has the
+    fields but no forcing keys.
     """
 
     def __init__(self, grid: Grid, factors: dict):
         self.grid = grid
-        self._sampled = factors  # key -> [F_1, F_2, ...] sampled on grid
+
+        def aligned(f: np.ndarray) -> np.ndarray:
+            a = empty(f.shape)
+            a[...] = f
+            return a
+
+        self._sampled = {key: [aligned(f) for f in fs] for key, fs in factors.items()}
+        self._tmp = empty((grid.nr, grid.nz))
 
     def _eval(self, key: str, t: float) -> np.ndarray:
         first, *rest = self._sampled[key]
-        out = math.exp(-t) * first
+        out = np.multiply(first, math.exp(-t), out=empty(first.shape))
         for m, factor in enumerate(rest, start=2):
-            out += math.exp(-m * t) * factor
+            out += np.multiply(factor, math.exp(-m * t), out=self._tmp)
         return out
 
     def u1(self, t: float) -> np.ndarray:

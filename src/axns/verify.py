@@ -6,14 +6,17 @@ verify`` prints one ``[pass]``/``[FAIL]`` line per check of the chosen
 suites, and ``tests/test_acceptance.py`` runs each entry as one test.
 Inputs read by several checks, or twice in one test process, are cached
 per process: the monitor rows of the four reference runs of
-ACCEPTANCE_CASES, the elliptic and divergence studies, the sharp constants
-and the offline-consistency run.
+ACCEPTANCE_CASES, the elliptic study, the sharp constants and the
+offline-consistency run.  The refinement studies of the order checks and
+of ``axns convergence`` live here too; each level of a study samples the
+same continuum fields, so every level discretizes the same problem.
 """
 
 from __future__ import annotations
 
 import math
 import tempfile
+from dataclasses import replace
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -22,10 +25,11 @@ import numpy as np
 
 from . import diagnostics
 from .diagnostics import COLUMNS, CriteriaSeries, instantaneous, lpq_norm, omega1_budget
-from .dynamics import SolverConfig, run
+from .dynamics import SolverConfig, diffusive_dt, run
 from .elliptic import solve_stream, stream_residual
 from .grid import (
     EVEN,
+    Grid,
     GridSpec,
     ScalarField,
     d_dr,
@@ -36,20 +40,9 @@ from .grid import (
     norm_l2,
     zeros_field,
 )
-from .kinematics import State
-from .scenarios import Scenario
+from .kinematics import State, divergence_residual, reconstruct_velocity
+from .scenarios import Scenario, manufactured_solution
 from .storage import read_series, read_snapshot_dir
-from .studies import (
-    bump_field,
-    criteria_constant,
-    divergence_study,
-    dynamics_spatial_study,
-    dynamics_temporal_study,
-    elliptic_study,
-    observed_order,
-    random_bump_terms,
-    swirl_decay_error,
-)
 
 ACCEPTANCE_CASES = tuple(
     (name, nu) for name in ("gaussian_ring", "pure_swirl") for nu in (0.05, 0.2)
@@ -62,17 +55,69 @@ class Check(NamedTuple):
     fn: Callable[[], tuple[bool, str]]
 
 
-_elliptic = cache(elliptic_study)
-_divergence = cache(divergence_study)
-
-
 def _grid(nr: int, nz: int):
     return make_grid(GridSpec(R=1.0, Lz=1.0, nr=nr, nz=nz))
+
+
+def _unit_config(name: str, n: int, nu: float, t_end: float, cfl: float, output_every=10_000_000):
+    """Scenario name on the n x n grid of R = Lz = 1, forced if manufactured."""
+    return SolverConfig(
+        nu=nu,
+        cfl=cfl,
+        t_end=t_end,
+        grid=GridSpec(R=1.0, Lz=1.0, nr=n, nz=n),
+        scenario=Scenario(name=name),
+        output_every=output_every,
+        forcing_enabled=name == "manufactured",
+    )
+
+
+def observed_order(errors) -> list[float]:
+    """Convergence orders log2(e_k / e_{k+1}) of successive halvings."""
+    errs = list(errors)
+    if len(errs) < 2:
+        raise ValueError("observed_order: need at least 2 error values")
+    if any(not (e > 0) for e in errs):
+        raise ValueError("observed_order: errors must be positive")
+    return [math.log(a / b) / math.log(2.0) for a, b in zip(errs, errs[1:])]
 
 
 def _orders(errors, bound: float) -> tuple[bool, str]:
     orders = observed_order(errors)
     return min(orders) >= bound, "orders " + ", ".join(f"{o:.3f}" for o in orders)
+
+
+def random_bump_terms(
+    rng: np.random.Generator,
+    R: float,
+    rho_range=(0.2, 0.6),
+    w_range=(0.12, 0.25),
+    k_range=(0, 3),
+):
+    """Draw grid-independent parameters for a sum of two bump-mode terms."""
+    terms = []
+    for _ in range(2):
+        amp = float(rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0)))
+        rho = float(rng.uniform(*rho_range) * R)
+        w = float(rng.uniform(*w_range) * R)
+        k = int(rng.integers(k_range[0], k_range[1] + 1))
+        phase = float(rng.uniform(0.0, 2.0 * np.pi))
+        terms.append((amp, rho, w, k, phase))
+    return tuple(terms)
+
+
+def bump_field(terms, grid: Grid) -> ScalarField:
+    """The bump-mode terms sampled on grid.  Each radial profile is a
+    symmetrized Gaussian, exp(-((r-rho)/w)^2) + exp(-((r+rho)/w)^2): exactly
+    even in r (smooth across the axis) and, for the parameters drawn here,
+    with wall tails far below the discretization error, so neither boundary
+    ring contaminates an observed interior order."""
+    r, z = grid.r[:, None], grid.z[None, :]
+    out = np.zeros((grid.nr, grid.nz))
+    for amp, rho, w, k, phase in terms:
+        radial = np.exp(-(((r - rho) / w) ** 2)) + np.exp(-(((r + rho) / w) ** 2))
+        out += amp * radial * np.cos(2.0 * np.pi * k * z / grid.spec.Lz + phase)
+    return ScalarField(grid, out, EVEN)
 
 
 # ---- ops: quadrature, stencils, reconstruction, monitors, storage ----
@@ -125,6 +170,26 @@ def _axial_skew():
     lhs = integrate_volume(ScalarField(g, d_dz(a).values * b.values, EVEN))
     rhs = -integrate_volume(ScalarField(g, a.values * d_dz(b).values, EVEN))
     return abs(lhs - rhs) <= 1e-12 * norm_l2(a) * norm_l2(b), f"defect {abs(lhs - rhs):.2e}"
+
+
+def divergence_study():
+    """Divergence residual of velocities reconstructed from four random
+    smooth stream functions, at 64^2, 128^2 and 256^2.  The bumps sit well
+    away from the wall (rho <= 0.3 R, w <= 0.15 R) so the Dirichlet ring
+    sees only their exponentially small tails.  The root-mean-square
+    residual must converge at order 1.9 or better.
+    """
+    rng = np.random.default_rng(7)
+    bumps = dict(rho_range=(0.15, 0.3), w_range=(0.1, 0.15), k_range=(3, 4))
+    ensembles = [random_bump_terms(rng, 1.0, **bumps) for _ in range(4)]
+    out = []
+    for n in (64, 128, 256):
+        grid = _grid(n, n)
+        zero = zeros_field(grid)
+        states = [State(zero, zero, bump_field(terms, grid), t=0.0) for terms in ensembles]
+        squares = [divergence_residual(reconstruct_velocity(st)) ** 2 for st in states]
+        out.append(math.sqrt(sum(squares) / len(squares)))
+    return _orders(out, 1.9)
 
 
 def _quartic():
@@ -198,14 +263,7 @@ def _lpq_step():
 def _offline_run():
     """Rows of a short live run, of the same series recomputed from its
     snapshots, and of its series.csv read back."""
-    cfg = SolverConfig(
-        nu=0.1,
-        cfl=0.5,
-        t_end=0.05,
-        grid=GridSpec(R=1.0, Lz=1.0, nr=32, nz=32),
-        scenario=Scenario(name="gaussian_ring"),
-        output_every=3,
-    )
+    cfg = _unit_config("gaussian_ring", 32, nu=0.1, t_end=0.05, cfl=0.5, output_every=3)
     with tempfile.TemporaryDirectory() as tmp:
         _, live = run(cfg, out_dir=tmp)
         offline = CriteriaSeries()
@@ -245,8 +303,37 @@ def _integrals_nondecreasing():
 # ---- elliptic: the stream solve ----
 
 
+@cache
+def elliptic_study():
+    """Stream-solve recovery of the closed-form pair on R = Lz = 1
+
+        psi* = (R^2 - r^2)^2 cos(2 pi z / Lz)
+        om*  = (16 R^2 - 24 r^2 + kap^2 (R^2 - r^2)^2) cos(kap z)
+
+    (om* is -lap3(psi*) by hand).  Returns (rel_errors, rel_residuals),
+    one entry per level of 32^2, 64^2 and 128^2.
+    """
+    R, Lz = 1.0, 1.0
+    kap = 2.0 * np.pi / Lz
+    errors, residuals = [], []
+    for n in (32, 64, 128):
+        grid = _grid(n, n)
+        om = field_from_function(
+            grid,
+            lambda r, z: (16.0 * R * R - 24.0 * r * r + kap * kap * (R * R - r * r) ** 2)
+            * np.cos(kap * z),
+            EVEN,
+        )
+        psi = solve_stream(om)
+        exact = field_from_function(grid, lambda r, z: (R * R - r * r) ** 2 * np.cos(kap * z), EVEN)
+        diff = ScalarField(grid, psi.values - exact.values, EVEN)
+        errors.append(norm_l2(diff) / norm_l2(exact))
+        residuals.append(stream_residual(psi, om) / norm_l2(om))
+    return errors, residuals
+
+
 def _elliptic_residual():
-    residuals = _elliptic()[1]
+    residuals = elliptic_study()[1]
     return all(r <= 1e-10 for r in residuals), f"worst {max(residuals):.2e}"
 
 
@@ -274,15 +361,7 @@ def _nonnegative_psi():
 
 @cache
 def _rows(name: str, nu: float):
-    cfg = SolverConfig(
-        nu=nu,
-        cfl=0.5,
-        t_end=1.0,
-        grid=GridSpec(R=1.0, Lz=1.0, nr=64, nz=64),
-        scenario=Scenario(name=name),
-        output_every=5,
-    )
-    return run(cfg)[1].rows
+    return run(_unit_config(name, 64, nu, t_end=1.0, cfl=0.5, output_every=5))[1].rows
 
 
 def _energy_monotone(name, nu):
@@ -333,6 +412,22 @@ def _run_ratio(name, nu):
     return ok, f"max ratio {worst:.3f}"
 
 
+def criteria_constant(grid: Grid) -> tuple[float, int, np.ndarray]:
+    """Sharp constant C = sup critA / critB over all om1 on the grid, with the
+    maximizing axial mode k and radial profile f: f(r) cos(2 pi k z / Lz)
+    attains C.  Solve and d_dz act per mode (M_k = -L_r + mu_k I and i s_k,
+    mu and s from grid.modes), and on mode k the sup of s_k^2 |M_k^-1 f|^2
+    / |r f|^2 is s_k^2 / sigma_min(diag(r) M_k)^2, attained where r f is
+    the left singular vector of sigma_min."""
+    sub, diag, sup = grid.radial_bands
+    mu, s = grid.modes.mu, grid.modes.s
+    m = -(np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1))  # -L_r
+    rm = grid.r[:, None] * (m + mu[:, None, None] * np.eye(grid.nr))  # diag(r) M_k per mode
+    ratios = s**2 / np.linalg.svd(rm, compute_uv=False)[:, -1] ** 2
+    k = int(np.argmax(ratios))
+    return float(ratios[k]), k, np.linalg.svd(rm[k])[0][:, -1] / grid.r
+
+
 @cache
 def _sharp(n: int) -> tuple[float, int, float]:
     """(C_n, k, rel): criteria_constant on the n x n grid, and the relative
@@ -360,9 +455,104 @@ def _sharp_drift():
     return drift < 0.05, f"drift {drift:.2%}, {_sharp_detail()}"
 
 
-def _swirl_decay():
-    decay = swirl_decay_error()
+# ---- mms: forced manufactured runs and the swirl decay ----
+
+
+def _field_error(state: State, u1: np.ndarray, om1: np.ndarray) -> float:
+    """sqrt(||state.u1 - u1||^2 + ||state.omega1 - om1||^2), L2 volume norms."""
+    du = ScalarField(state.grid, state.u1.values - u1, EVEN)
+    dom = ScalarField(state.grid, state.omega1.values - om1, EVEN)
+    return math.sqrt(norm_l2(du) ** 2 + norm_l2(dom) ** 2)
+
+
+def dynamics_spatial_study():
+    """Forced-run recovery of the manufactured fields at t_end = 0.25,
+    nu = 0.1, one error per level at 32^2, 64^2 and 128^2.  The adaptive
+    step is diffusion-limited (dt ~ h^2), so the temporal error rides far
+    below the spatial one, and the errors must converge at order 1.9."""
+    errors = []
+    for n in (32, 64, 128):
+        cfg = _unit_config("manufactured", n, nu=0.1, t_end=0.25, cfl=0.4)
+        final, _ = run(cfg)
+        man = manufactured_solution(final.grid, nu=None, scenario=cfg.scenario)
+        errors.append(_field_error(final, man.u1(final.t), man.om1(final.t)))
+    return _orders(errors, 1.9)
+
+
+def dynamics_temporal_study():
+    """Errors of run at n0, 2 n0 and 4 n0 steps against a 16 n0 step
+    reference on one 32^2 grid (nu = 0.05, t_end = 0.1), so the common
+    spatial error cancels and the step-size order stands alone.  The base
+    step sits at 0.8 of the diffusive limit ddt: large enough that even the
+    n0/4 error is far above the roundoff floor, small enough for a stable
+    three-stage step.  Each level runs at cfl = t_end / (n ddt): the
+    diffusive guard binds every step of this forced flow and cfl * ddt
+    rounds to t_end / n, so run takes exactly n steps of t_end / n, which
+    tests/test_studies.py::test_temporal_study_steps_at_fixed_dt pins."""
+    nu, t_end = 0.05, 0.1
+    cfg = _unit_config("manufactured", 32, nu, t_end, cfl=0.8)
+    ddt = diffusive_dt(make_grid(cfg.grid), nu)
+    n0 = max(4, math.ceil(t_end / (0.8 * ddt)))
+
+    def final(n: int) -> State:
+        return run(replace(cfg, cfl=t_end / (n * ddt)))[0]
+
+    ref = final(n0 * 16)
+    return [_field_error(final(n0 * 2**j), ref.u1.values, ref.omega1.values) for j in range(3)]
+
+
+def swirl_decay_error():
+    """Relative error of the slowest swirl mode against exp(-nu kap^2 t) at
+    t = 0.5, nu = 0.1, on a 64 x 128 grid over R = 2, Lz = 1, stepped by
+    run; it passes at 1e-3.
+
+    Initial data u1 = eps cos(kap z), eps = 1e-6, uniform in r: pure_swirl
+    at width 1e200, where ((r - r_c) / w)^2 underflows to 0 and the radial
+    factor is exactly 1.  At this amplitude the quadratic couplings are
+    O(eps^2) and the mode decays diffusively.  The decay factor is measured
+    by projecting onto cos(kap z) over the core r <= R/4, far from the wall.
+    """
+    nu, t_end, eps = 0.1, 0.5, 1e-6
+    cfg = SolverConfig(
+        nu=nu,
+        cfl=0.5,
+        t_end=t_end,
+        grid=GridSpec(R=2.0, Lz=1.0, nr=64, nz=128),
+        scenario=Scenario(name="pure_swirl", amplitude=eps, width=1e200),
+        output_every=10_000_000,
+    )
+    state, _ = run(cfg)
+    grid = state.grid
+    kap = 2.0 * np.pi / grid.spec.Lz
+    core = grid.r <= grid.spec.R / 4.0
+    coeff = 2.0 * np.mean(state.u1.values[core] * np.cos(kap * grid.z)[None, :], axis=1)
+    measured = float(np.mean(coeff))
+    expect = eps * math.exp(-nu * kap * kap * t_end)
+    decay = abs(measured - expect) / expect
     return decay <= 1e-3, f"rel err {decay:.2e}"
+
+
+# ---- axns convergence: self-refinement of any configured problem ----
+
+
+def _restrict(fine: np.ndarray) -> np.ndarray:
+    # cell-centered halving in r: coarse node = mean of its two children;
+    # node-coincident halving in z: keep even columns
+    return 0.5 * (fine[0::2, ::2] + fine[1::2, ::2])
+
+
+def self_convergence_study(cfg: SolverConfig, n_levels: int) -> list[float]:
+    """Differences between successive refinements of one configured
+    problem, measured on the coarser grid of each pair.  Works for any
+    scenario since no exact solution is needed."""
+    finals = []
+    for lev in range(n_levels):
+        spec = replace(cfg.grid, nr=cfg.grid.nr * 2**lev, nz=cfg.grid.nz * 2**lev)
+        finals.append(run(replace(cfg, grid=spec, output_every=10_000_000))[0])
+    return [
+        _field_error(coarse, _restrict(fine.u1.values), _restrict(fine.omega1.values))
+        for coarse, fine in zip(finals, finals[1:])
+    ]
 
 
 def _per_run(suite: str, checks) -> list[Check]:
@@ -379,11 +569,7 @@ CHECKS: tuple[Check, ...] = (
     Check("ops", "stencils: radial derivative order >= 1.9", partial(_stencil_order, d_dr, 1)),
     Check("ops", "stencils: axial derivative order >= 1.9", partial(_stencil_order, d_dz, 2)),
     Check("ops", "axial derivative is skew-adjoint under the quadrature", _axial_skew),
-    Check(
-        "ops",
-        "divergence residual of reconstructed velocity: order >= 1.9",
-        lambda: _orders(_divergence(), 1.9),
-    ),
+    Check("ops", "divergence residual of reconstructed velocity: order >= 1.9", divergence_study),
     Check("ops", "quartic bound lhs <= rhs on 2000 random states, no tolerance", _quartic),
     Check("ops", "space-time norm of constant field = c V^(1/p) T^(1/q)", _lpq_constant),
     Check("ops", "space-time norm of a two-level step matches the closed form", _lpq_step),
@@ -397,7 +583,7 @@ CHECKS: tuple[Check, ...] = (
     Check(
         "elliptic",
         "stream solve recovers the closed-form solution at order >= 1.9",
-        lambda: _orders(_elliptic()[0], 1.9),
+        lambda: _orders(elliptic_study()[0], 1.9),
     ),
     Check("elliptic", "stream solve residual <= 1e-10 of the source norm", _elliptic_residual),
     Check("elliptic", "stream solve residual on random sources <= 1e-10", _random_source_residual),
@@ -420,11 +606,7 @@ CHECKS: tuple[Check, ...] = (
     Check("lemma33", "sharp criteria constant C_n <= 2.0 at n = 64, 128", _sharp_bounded),
     Check("lemma33", "sharp criteria constant moves < 5% under refinement", _sharp_drift),
     *_per_run("lemma33", (("criteria ratio <= 2.0 along the run", _run_ratio),)),
-    Check(
-        "mms",
-        "forced-run recovery: spatial order >= 1.9",
-        lambda: _orders(dynamics_spatial_study(), 1.9),
-    ),
+    Check("mms", "forced-run recovery: spatial order >= 1.9", dynamics_spatial_study),
     Check(
         "mms",
         "forced-run recovery: temporal order >= 2.9",
@@ -433,7 +615,7 @@ CHECKS: tuple[Check, ...] = (
     Check(
         "mms",
         "small-amplitude swirl decays at exp(-nu (2 pi / Lz)^2 t) to 1e-3",
-        _swirl_decay,
+        swirl_decay_error,
     ),
 )
 

@@ -1,8 +1,8 @@
 """Top-level acceptance gate: every check of ``axns.verify.CHECKS``.
 
 ``axns verify`` runs the same table, so each bound lives in one place.
-Test ids are ``suite:name``.  Shared inputs (the four reference runs,
-the elliptic and divergence studies, the sharp criteria constants, the
+Test ids are ``suite:name``.  Inputs read by several checks (the four
+reference runs, the elliptic study, the sharp criteria constants, the
 offline run) are cached per process by ``axns.verify``; `pytest -s` shows
 each check's detail.
 """

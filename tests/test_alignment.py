@@ -8,7 +8,7 @@ from axns.diagnostics import instantaneous
 from axns.dynamics import SolverConfig, rhs, stable_dt, step
 from axns.grid import ALIGN, EVEN, GridSpec, ScalarField, d_dr, d_dz, empty, make_grid
 from axns.kinematics import State, reconstruct_velocity
-from axns.scenarios import Scenario, init_scenario
+from axns.scenarios import Scenario, init_scenario, manufactured_solution
 from axns.storage import read_snapshot, write_snapshot
 
 # a row of 20 float64 is 160 bytes, so successive rows start 32 bytes apart mod 64
@@ -54,6 +54,14 @@ def test_streamed_arrays_are_aligned(tmp_path):
     vel = reconstruct_velocity(state)
     assert all(aligned(f.values) for f in (vel.v_r, vel.v_phi, vel.v_z))
     assert aligned(d_dr(state.u1).values) and aligned(d_dz(state.u1).values)
+
+    # the manufactured forcing: its sampled factors, the axpy scratch and
+    # every evaluation
+    man = manufactured_solution(grid, 0.05, Scenario(name="manufactured", mode_k=2))
+    factors = [f for sampled in man._sampled.values() for f in sampled]
+    assert len(factors) == 6 and all(map(aligned, factors + [man._tmp]))
+    for t in (0.0, 0.013, 0.5):
+        assert all(aligned(f(t)) for f in (man.u1, man.om1, man.f_u, man.f_om))
 
     write_snapshot(state, tmp_path / "s.axns", 0.05)
     back, _ = read_snapshot(tmp_path / "s.axns")

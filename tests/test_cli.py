@@ -347,8 +347,8 @@ def test_verify_unknown_suite_usage_error(capsys):
 
 
 def test_run_and_criteria_load_no_check_layer(tmp_path):
-    # axns run and axns criteria import neither the check layer nor the
-    # polynomials that only manufactured runs use
+    # axns run and axns criteria import neither the check layer, which holds
+    # the refinement studies, nor the polynomials only manufactured runs use
     cfg = tmp_path / "ring.cfg"
     cfg.write_text(CONFIG)
     out = tmp_path / "out"
@@ -358,7 +358,7 @@ def test_run_and_criteria_load_no_check_layer(tmp_path):
         f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
         f"argv = ['criteria', '--snapshots', {str(out / 'snapshots')!r}]\n"
         f"assert main(argv + ['--out', {str(tmp_path / 'offline.csv')!r}]) == 0\n"
-        "names = ('axns.verify', 'axns.studies', 'numpy.polynomial')\n"
+        "names = ('axns.verify', 'numpy.polynomial')\n"
         "print([name for name in names if name in sys.modules])\n"
     )
     env = dict(os.environ)
@@ -378,6 +378,16 @@ def test_convergence_command(tmp_path, capsys):
     assert main(["convergence", "--config", str(cfg), "--levels", "3"]) == 0
     text = capsys.readouterr().out
     assert "order" in text.lower()
+
+
+def test_convergence_on_zero_fields_has_no_orders(tmp_path, capsys):
+    # every refinement difference is exactly 0, so no order is formed
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text(CONFIG.replace("gaussian_ring", "zero"))
+    assert main(["convergence", "--config", str(cfg), "--levels", "2"]) == 0
+    text = capsys.readouterr().out
+    assert "difference 0.000000e+00" in text
+    assert "orders undefined" in text and "observed orders" not in text
 
 
 def test_convergence_needs_two_levels(tmp_path, capsys):

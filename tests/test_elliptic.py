@@ -23,11 +23,7 @@ from axns.grid import (
     zeros_field,
 )
 from axns.kinematics import State
-from axns.studies import (
-    bump_field,
-    criteria_constant,
-    random_bump_terms,
-)
+from axns.verify import bump_field, criteria_constant, random_bump_terms
 
 
 def criteria_pair(om):

@@ -25,7 +25,7 @@ from axns.kinematics import (
     reconstruct_velocity,
     velocity_values,
 )
-from axns.studies import bump_field, random_bump_terms
+from axns.verify import bump_field, random_bump_terms
 from conftest import make_state
 
 
