@@ -34,17 +34,17 @@ take raw node values and write into an optional C-contiguous (nr, nz)
 out= array; the ScalarField wrappers (d_dr, d_dz, modified_laplacian)
 always return fresh arrays.  Every full-size array the hot paths stream,
 fresh or reused, comes from empty(), whose data starts on a 64-byte
-boundary.  numpy's own buffers are only 16-byte aligned, at 0, 16, 32 or
-48 mod 64 as the heap lays them out, and a misaligned 128^2 multiply ran
-1.8-2.2x slower than an aligned one, so the speed of a kernel followed
-the heap layout of the process.  Results do not depend on the offset;
-only the speed does.  Each Grid carries one Workspace (grid.work):
-scratch (nr, nz) arrays and read-only full-size copies of the per-grid
-constants the array kernels multiply by, built on first use and freed
-with the grid.  The workspace is non-reentrant per grid, and no value
-lives in it across calls: whatever a kernel leaves there is overwritten
-by the next kernel call on that grid.  Volume integrals sum along z first
-(ring_sums) and weight the nr ring sums in r.
+boundary, and so does every initial state (field_from_function and
+zeros_field).  numpy's own buffers are only 16-byte aligned, at 0, 16, 32
+or 48 mod 64 as the heap lays them out, and a misaligned 128^2 multiply
+ran 1.8-2.2x slower than an aligned one, so a kernel's speed followed the
+process's heap layout.  Results do not depend on the offset, only speed.
+Each Grid carries one Workspace (grid.work): scratch (nr, nz) arrays and
+read-only full-size copies of the per-grid constants the array kernels
+multiply by, built on first use and freed with the grid.  The workspace is
+non-reentrant per grid, and no value lives in it across calls: whatever a
+kernel leaves there is overwritten by the next kernel call on that grid.
+Volume integrals sum along z first (ring_sums), then weight each ring in r.
 """
 
 from __future__ import annotations
@@ -252,13 +252,14 @@ class ScalarField:
 
 
 def zeros_field(grid: Grid, parity: str = EVEN) -> ScalarField:
-    return ScalarField(grid, np.zeros((grid.nr, grid.nz)), parity)
+    return field_from_function(grid, lambda r, z: 0.0, parity)
 
 
 def field_from_function(grid: Grid, fn, parity: str) -> ScalarField:
-    """Sample fn(r, z) on the mesh; fn must broadcast over (nr, 1) x (1, nz)."""
-    vals = np.broadcast_to(fn(grid.r[:, None], grid.z[None, :]), (grid.nr, grid.nz))
-    return ScalarField(grid, vals.astype(np.float64), parity)
+    """Sample fn(r, z) into an empty() array; fn must broadcast over (nr, 1) x (1, nz)."""
+    vals = empty((grid.nr, grid.nz))
+    vals[...] = fn(grid.r[:, None], grid.z[None, :])
+    return ScalarField(grid, vals, parity)
 
 
 def ring_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import solve_stream
-from .grid import EVEN, Grid, GridSpec, ScalarField, check_count, empty, zeros_field
+from .grid import EVEN, Grid, GridSpec, ScalarField, check_count, empty
+from .grid import field_from_function, zeros_field
 from .kinematics import State
 
 SCENARIO_NAMES = ("zero", "pure_swirl", "gaussian_ring", "manufactured")
@@ -81,22 +82,24 @@ class Scenario:
 
 def init_scenario(scenario: Scenario, grid: Grid) -> State:
     scenario.validate(grid.spec)
-    name, A, k = scenario.name, scenario.amplitude, scenario.mode_k
+    name, A, k, Lz = scenario.name, scenario.amplitude, scenario.mode_k, grid.spec.Lz
     w, rc, zc = scenario.geometry(grid.spec)
-    Lz = grid.spec.Lz
-    r = grid.r[:, None]
-    z = grid.z[None, :]
+
+    def swirl(r, z):
+        return A * np.cos(2.0 * np.pi * k * z / Lz) * np.exp(-(((r - rc) / w) ** 2))
+
+    def ring(r, z):
+        return A * np.exp(-(((r - rc) ** 2) + ((z - zc) ** 2)) / (w * w))
+
     if name == "zero":
-        u1 = zeros_field(grid, EVEN)
-        om1 = zeros_field(grid, EVEN)
+        u1 = zeros_field(grid)
+        om1 = zeros_field(grid)
     elif name == "pure_swirl":
-        vals = A * np.cos(2.0 * np.pi * k * z / Lz) * np.exp(-(((r - rc) / w) ** 2))
-        u1 = ScalarField(grid, np.broadcast_to(vals, (grid.nr, grid.nz)).copy(), EVEN)
-        om1 = zeros_field(grid, EVEN)
+        u1 = field_from_function(grid, swirl, EVEN)
+        om1 = zeros_field(grid)
     elif name == "gaussian_ring":
-        vals = A * np.exp(-(((r - rc) ** 2) + ((z - zc) ** 2)) / (w * w))
-        u1 = ScalarField(grid, vals.copy(), EVEN)
-        om1 = ScalarField(grid, vals.copy(), EVEN)
+        u1 = field_from_function(grid, ring, EVEN)
+        om1 = field_from_function(grid, ring, EVEN)
     else:  # "manufactured"
         man = manufactured_solution(grid, nu=None, scenario=scenario)
         u1 = ScalarField(grid, man.u1(0.0), EVEN)

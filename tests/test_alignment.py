@@ -6,9 +6,20 @@ import pytest
 
 from axns.diagnostics import instantaneous
 from axns.dynamics import SolverConfig, rhs, stable_dt, step
-from axns.grid import ALIGN, EVEN, GridSpec, ScalarField, d_dr, d_dz, empty, make_grid
+from axns.grid import (
+    ALIGN,
+    EVEN,
+    GridSpec,
+    ScalarField,
+    d_dr,
+    d_dz,
+    empty,
+    field_from_function,
+    make_grid,
+    zeros_field,
+)
 from axns.kinematics import State, reconstruct_velocity
-from axns.scenarios import Scenario, init_scenario, manufactured_solution
+from axns.scenarios import SCENARIO_NAMES, Scenario, init_scenario, manufactured_solution
 from axns.storage import read_snapshot, write_snapshot
 
 # a row of 20 float64 is 160 bytes, so successive rows start 32 bytes apart mod 64
@@ -66,6 +77,16 @@ def test_streamed_arrays_are_aligned(tmp_path):
     write_snapshot(state, tmp_path / "s.axns", 0.05)
     back, _ = read_snapshot(tmp_path / "s.axns")
     assert all(aligned(f.values) for f in (back.u1, back.omega1, back.psi1))
+
+
+def test_initial_fields_are_aligned():
+    # the first step and the t = 0 sample of every run read these
+    grid = make_grid(SPEC)
+    fields = [zeros_field(grid), field_from_function(grid, lambda r, z: r * z, EVEN)]
+    for name in SCENARIO_NAMES:
+        state = init_scenario(Scenario(name=name), grid)
+        fields += [state.u1, state.omega1, state.psi1]
+    assert all(aligned(f.values) for f in fields)
 
 
 def test_results_do_not_depend_on_input_alignment():

@@ -368,6 +368,30 @@ def test_run_and_criteria_load_no_check_layer(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_each_module_imports_alone():
+    # the package namespace re-exports nothing: importing one module loads
+    # only what it imports, and a module imported first shows any cycle
+    modules = ("grid", "kinematics", "elliptic", "diagnostics", "storage", "scenarios")
+    modules += ("dynamics", "config", "svgplot", "cli", "verify")
+    code = (
+        "import importlib, sys\n"
+        "def fresh(name):\n"
+        "    ours = [key for key in sys.modules if key.split('.')[0] == 'axns']\n"
+        "    for key in ours:\n"
+        "        del sys.modules[key]\n"
+        "    importlib.import_module(name)\n"
+        "    return sorted(key for key in sys.modules if key.split('.')[0] == 'axns')\n"
+        f"for module in {modules!r}:\n"
+        "    fresh('axns.' + module)\n"
+        "print(fresh('axns'), fresh('axns.grid'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['axns'] ['axns', 'axns.grid']"
+
+
 def test_convergence_command(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(

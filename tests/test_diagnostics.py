@@ -348,7 +348,7 @@ def test_instantaneous_allocates_few_full_size_arrays(grid64, traced_peak):
 def test_instantaneous_rejects_overflow(grid16):
     # |u1|^4 overflows to inf; the finished row is checked once
     u1 = field_from_function(grid16, lambda r, z: 1e100 + 0 * r, EVEN)
-    with pytest.raises(ValueError, match="u1_l4"):
+    with pytest.raises(ValueError, match="u1_l4"), pytest.warns(RuntimeWarning):
         dg.instantaneous(make_state(grid16, u1=u1), 4)
 
 
