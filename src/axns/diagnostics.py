@@ -21,8 +21,8 @@ CSV round-trip checks also read every column):
 
 instantaneous(state, s) is the one place these formulas are written and
 the only evaluator of a column; the acceptance checks read it too.  It
-takes each stencil once (the velocity from reconstruct_velocity, which
-leaves d_dz(psi1) in a workspace buffer, then d_dr and d_dz of om1), and
+takes each stencil once (v_r, v_z and d_dz(psi1) from
+kinematics.reconstruct_velocity, then d_dr and d_dz of om1), and
 forms r^2 u1 and its maximum once for swirl_sup and quartic_rhs.  Every
 weight is a function of r alone, so every integral is one quadrature:
 the integrand is summed along z into one value per ring (grid.ring_sums,
@@ -32,10 +32,10 @@ differences are scaled by 1/h^2 once, on the sums.  Integrands that
 differ by a power of r share their sums: sum (d_dz psi1)^2 serves critA,
 D and v_r^2 in E; sum u1^2 serves D and v_phi^2 in E; sum om1^2 serves
 om1_l2 and critB.  The quartic pair is formed elementwise and reduced by
-one path.  The integrands live in buffers of the grid's workspace
-(grid.work), so a sample allocates only the velocity and one radial
-derivative.  One finiteness check on the finished entries replaces a
-check per integrand.
+one path.  The velocity (v_r, v_z and v_phi = r u1) and the integrands
+live in buffers of the grid's workspace (grid.work), so a sample
+allocates one full-size array, the radial derivative of om1.  One
+finiteness check on the finished entries replaces a check per integrand.
 
 No functional divides by r pointwise: the 1/r weights are absorbed into
 the reduced variables (v_r/r = -d_dz(psi1), v_phi/r = u1, om_phi/r = om1)
@@ -200,20 +200,19 @@ def instantaneous(state: State, s: int) -> dict:
     w, r2 = g.quad_w, g.r**2
     u = state.u1.values
     om = state.omega1.values
-    tmp, dpz, usq = g.work.kernel[:3]
+    tmp, dpz, usq, vr, vz, vphi = g.work.kernel[:6]
 
     def sq_sum(x):  # int x^2 dx
         return w @ ring_sums(x, x)
 
-    vel = reconstruct_velocity(state, dpz)  # dpz = d_dz(psi1) = -v_r / r
-    vr, vphi, vz = vel.v_r.values, vel.v_phi.values, vel.v_z.values
+    reconstruct_velocity(g, state.psi1.values, dpz, vr, vz)  # dpz = d_dz(psi1) = -v_r / r
+    np.multiply(g.work.r, u, out=vphi)
     dissipation = (
         _face_grad_sq(vr, g, wall_zero=True)
         + _face_grad_sq(vphi, g, wall_zero=True)
         + _face_grad_sq(vz, g, wall_zero=False)
     )
     vz_sums = ring_sums(vz, vz)
-    del vel, vr, vphi, vz  # freed before d_dr(omega1) below allocates
     np.multiply(u, u, out=usq)
     dpz_sums = ring_sums(dpz, dpz)  # (v_r / r)^2, also critA's
     # (v_r / r)^2 + (v_phi / r)^2, and times r^2 the rest of |v|^2

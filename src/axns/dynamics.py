@@ -22,7 +22,7 @@ from .elliptic import solve_stream
 from .grid import EVEN, Grid, GridSpec, ScalarField, check_count, empty, make_grid
 # d_dz is not called here: perfbench's self-test looks the name up in this module
 from .grid import d_dr_values, d_dz, d_dz_values, lap3_values  # noqa: F401
-from .kinematics import State, velocity_values
+from .kinematics import State, reconstruct_velocity
 from .scenarios import Scenario, init_scenario, manufactured_solution
 
 
@@ -77,7 +77,7 @@ def rhs(grid: Grid, u1, om1, psi1, nu: float, t: float, forcing=None):
     call on that grid (or the next kernel that uses those buffers).
     """
     dpsi_dz, vr, vz, du1_dz, two_u1, adv, tmp, du1, dom1 = grid.work.kernel
-    velocity_values(grid, psi1, dpsi_dz, vr, vz)
+    reconstruct_velocity(grid, psi1, dpsi_dz, vr, vz)
     d_dz_values(u1, grid.dz, out=du1_dz)
     np.multiply(2.0, u1, out=two_u1)
 
@@ -106,7 +106,7 @@ def stable_dt(state: State, cfg: SolverConfig) -> float:
     g = state.grid
     guards = [diffusive_dt(g, cfg.nu)]
     dpsi_dz, v_r, v_z = g.work.kernel[:3]
-    velocity_values(g, state.psi1.values, dpsi_dz, v_r, v_z)
+    reconstruct_velocity(g, state.psi1.values, dpsi_dz, v_r, v_z)
     for h, v in ((g.dr, v_r), (g.dz, v_z)):
         v_max = float(np.max(np.abs(v, out=v)))
         if v_max > 0:

@@ -176,9 +176,10 @@ class Workspace:
         leaf    two temporaries of the leaf kernels (lap3_values and the
                 diagnostics integrands); a leaf kernel calls no other
                 kernel that uses the workspace
-        kernel  intermediates and results of dynamics.rhs, of
-                dynamics.stable_dt or of diagnostics.instantaneous
-                (no two of them nest)
+        kernel  intermediates and results of dynamics.rhs (all nine
+                buffers), of dynamics.stable_dt (0-2) or of
+                diagnostics.instantaneous (0-5, its velocity in 3-5);
+                no two of them nest
         stage   the stage arrays of dynamics.step, which calls rhs
 
     Non-reentrant: a kernel may overwrite any buffer of its group, and no

@@ -13,8 +13,8 @@ recovered as
     v_phi =  r u1                    (odd)
     v_z   =  2 psi1 + r d_dr(psi1)   (even)
 
-and the vorticity as om_phi = r om1.  velocity_values is the one place
-that forms v_r and v_z, for the stepper and reconstruct_velocity alike.
+and the vorticity as om_phi = r om1.  reconstruct_velocity is the one
+place that forms v_r and v_z, into arrays the caller passes.
 Quantities that carry a 1/r weight are always formed from the reduced
 variables (v_r / r = -d_dz(psi1), v_phi / r = u1, ...), so nothing divides
 by r except divergence_residual, whose v_r carries an exact factor r.
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import EVEN, ODD, Grid, ScalarField, d_dr, d_dr_values, d_dz, d_dz_values, empty
-from .grid import norm_l2
+from .grid import EVEN, ODD, Grid, ScalarField, d_dr_values, d_dz_values, empty, norm_l2
 
 
 @dataclass(eq=False)
@@ -54,16 +53,7 @@ class State:
         return self.u1.grid
 
 
-@dataclass(eq=False)
-class VelocityFields:
-    """Reconstructed velocity components."""
-
-    v_r: ScalarField
-    v_phi: ScalarField
-    v_z: ScalarField
-
-
-def velocity_values(grid: Grid, psi1, dpsi_dz, v_r, v_z) -> None:
+def reconstruct_velocity(grid: Grid, psi1, dpsi_dz, v_r, v_z) -> None:
     """d_dz(psi1), v_r and v_z of raw psi1 node values, written into the
     caller's arrays; dpsi_dz may be v_r, none may be psi1.  v_r holds
     r d_dr(psi1) until v_z is formed, so nothing else is allocated."""
@@ -75,31 +65,14 @@ def velocity_values(grid: Grid, psi1, dpsi_dz, v_r, v_z) -> None:
     np.multiply(ws.neg_r, dpsi_dz, out=v_r)
 
 
-def reconstruct_velocity(state: State, dpsi_dz=None) -> VelocityFields:
-    """The velocity components over fresh arrays.  d_dz(psi1) is written
-    into dpsi_dz when the caller passes an (nr, nz) array, else formed in
-    v_r's array; only v_r, v_z and v_phi = r u1 are allocated."""
-    g = state.grid
-    v_r, v_z, v_phi = (empty((g.nr, g.nz)) for _ in range(3))
-    velocity_values(g, state.psi1.values, v_r if dpsi_dz is None else dpsi_dz, v_r, v_z)
-    return VelocityFields(
-        v_r=ScalarField(g, v_r, ODD),
-        v_phi=ScalarField(g, np.multiply(g.work.r, state.u1.values, out=v_phi), ODD),
-        v_z=ScalarField(g, v_z, EVEN),
-    )
-
-
-def divergence_residual(vel: VelocityFields) -> float:
-    """L2 volume norm of d_dr(v_r) + v_r/r + d_dz(v_z).
+def divergence_residual(state: State) -> float:
+    """L2 volume norm of d_dr(v_r) + v_r/r + d_dz(v_z) of the state's velocity.
 
     v_r carries an exact factor r by construction, so the division recovers
     -d_dz(psi1) to roundoff and stays bounded at the first ring.
     """
-    g = vel.v_r.grid
-    res = (
-        d_dr(vel.v_r).values
-        + vel.v_r.values / g.r[:, None]
-        + d_dz(vel.v_z).values
-    )
+    g = state.grid
+    v_r, v_z = empty((g.nr, g.nz)), empty((g.nr, g.nz))
+    reconstruct_velocity(g, state.psi1.values, v_r, v_r, v_z)
+    res = d_dr_values(v_r, g.dr, ODD) + v_r / g.r[:, None] + d_dz_values(v_z, g.dz)
     return norm_l2(ScalarField(g, res, EVEN))
-

@@ -191,8 +191,14 @@ def manufactured_solution(
     r, z = grid.r[:, None], grid.z[None, :]
     c, c7 = np.cos(kappa * z), np.cos(kappa * z + 0.7)
     factors = {"u1": [U(r) * c7], "om1": [Om(r) * c]}
+
+    def solution() -> ManufacturedSolution:
+        man = ManufacturedSolution(grid, factors)
+        man.Psi, man.Om = Psi, Om  # radial parts, for verify's closed-form criteria
+        return man
+
     if nu is None:
-        return ManufacturedSolution(grid, factors)
+        return solution()
 
     Vr = kappa * x * Psi  # v_r = a Vr sin(kz)
     Vz = 2.0 * Psi + x * Psi.deriv()  # v_z = a Vz cos(kz)
@@ -214,4 +220,4 @@ def manufactured_solution(
     )
     factors["f_u"] = [decay(U)(r) * c7, f_u2]
     factors["f_om"] = [decay(Om)(r) * c, f_om2]
-    return ManufacturedSolution(grid, factors)
+    return solution()

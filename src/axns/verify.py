@@ -40,7 +40,7 @@ from .grid import (
     norm_l2,
     zeros_field,
 )
-from .kinematics import State, divergence_residual, reconstruct_velocity
+from .kinematics import State, divergence_residual
 from .scenarios import Scenario, manufactured_solution
 from .storage import read_series, read_snapshot_dir
 
@@ -187,7 +187,7 @@ def divergence_study():
         grid = _grid(n, n)
         zero = zeros_field(grid)
         states = [State(zero, zero, bump_field(terms, grid), t=0.0) for terms in ensembles]
-        squares = [divergence_residual(reconstruct_velocity(st)) ** 2 for st in states]
+        squares = [divergence_residual(st) ** 2 for st in states]
         out.append(math.sqrt(sum(squares) / len(squares)))
     return _orders(out, 1.9)
 
@@ -479,6 +479,30 @@ def dynamics_spatial_study():
     return _orders(errors, 1.9)
 
 
+def _criteria_closed_forms():
+    """critA(T), critB(T), critA_int and critB_int of the forced manufactured
+    run (T = 0.25, nu = 0.1, cfl 0.4, output_every 5) against their closed
+    forms at 16^2, 32^2 and 64^2, exact on manufactured_solution's Psi and Om
+    (psi1* = a Psi cos(kappa z), om1* = a Om cos(kappa z), a = exp(-t)):
+    critA = a^2 pi kappa^2 Lz int_0^R Psi^2 dr, critB = a^2 pi Lz int_0^R
+    r^2 Om^2 dr and critX_int(T) = critX(0) (1 - exp(-2 T)) / 2."""
+    errors = []
+    for n in (16, 32, 64):
+        cfg = _unit_config("manufactured", n, nu=0.1, t_end=0.25, cfl=0.4, output_every=5)
+        final, series = run(cfg)
+        man = manufactured_solution(final.grid, nu=None, scenario=cfg.scenario)
+        R, Lz = cfg.grid.R, cfg.grid.Lz
+        kappa_psi, r_om = 2.0 * np.pi * cfg.scenario.mode_k / Lz * man.Psi, man.Om * [0.0, 1.0]
+        crit0 = np.array([np.pi * Lz * (p * p).integ()(R) for p in (kappa_psi, r_om)])  # t = 0
+        a2, last = math.exp(-2.0 * final.t), series.rows[-1]
+        exact = np.concatenate([a2 * crit0, 0.5 * (1.0 - a2) * crit0])
+        got = np.array([last.critA, last.critB, last.critA_int, last.critB_int])
+        errors.append(np.abs(got - exact) / exact)
+    checks = [_orders(col, 1.9) for col in np.array(errors).T]
+    names = ("critA", "critB", "critA_int", "critB_int")
+    return all(ok for ok, _ in checks), "; ".join(f"{k} {d}" for k, (_, d) in zip(names, checks))
+
+
 def dynamics_temporal_study():
     """Errors of run at n0, 2 n0 and 4 n0 steps against a 16 n0 step
     reference on one 32^2 grid (nu = 0.05, t_end = 0.1), so the common
@@ -607,6 +631,11 @@ CHECKS: tuple[Check, ...] = (
     Check("lemma33", "sharp criteria constant moves < 5% under refinement", _sharp_drift),
     *_per_run("lemma33", (("criteria ratio <= 2.0 along the run", _run_ratio),)),
     Check("mms", "forced-run recovery: spatial order >= 1.9", dynamics_spatial_study),
+    Check(
+        "mms",
+        "forced-run critA, critB and their integrals match closed forms: order >= 1.9",
+        _criteria_closed_forms,
+    ),
     Check(
         "mms",
         "forced-run recovery: temporal order >= 2.9",

@@ -12,8 +12,8 @@ import hypothesis
 import numpy as np
 import pytest
 
-from axns.grid import GridSpec, make_grid, zeros_field
-from axns.kinematics import State
+from axns.grid import GridSpec, empty, make_grid, zeros_field
+from axns.kinematics import State, reconstruct_velocity
 
 hypothesis.settings.register_profile(
     "suite", deadline=None, max_examples=25, derandomize=True
@@ -30,6 +30,15 @@ def make_state(grid, u1=None, om1=None, psi1=None, t=0.0):
         psi1=psi1 if psi1 is not None else z,
         t=t,
     )
+
+
+def velocity(state, dpsi_dz=None):
+    """(v_r, v_z) of state from reconstruct_velocity over fresh grid.empty
+    arrays; d_dz(psi1) goes into dpsi_dz when given, else into v_r's array."""
+    g = state.grid
+    v_r, v_z = empty((g.nr, g.nz)), empty((g.nr, g.nz))
+    reconstruct_velocity(g, state.psi1.values, v_r if dpsi_dz is None else dpsi_dz, v_r, v_z)
+    return v_r, v_z
 
 
 @pytest.fixture(scope="session")

@@ -18,9 +18,10 @@ from axns.grid import (
     make_grid,
     zeros_field,
 )
-from axns.kinematics import State, reconstruct_velocity
+from axns.kinematics import State
 from axns.scenarios import SCENARIO_NAMES, Scenario, init_scenario, manufactured_solution
 from axns.storage import read_snapshot, write_snapshot
+from conftest import velocity
 
 # a row of 20 float64 is 160 bytes, so successive rows start 32 bytes apart mod 64
 SPEC = GridSpec(R=1.0, Lz=1.0, nr=24, nz=20)
@@ -62,8 +63,7 @@ def test_streamed_arrays_are_aligned(tmp_path):
     new = step(state, stable_dt(state, cfg), cfg)
     assert all(aligned(f.values) for f in (new.u1, new.omega1, new.psi1))
     assert aligned(modes.solve(state.omega1.values))
-    vel = reconstruct_velocity(state)
-    assert all(aligned(f.values) for f in (vel.v_r, vel.v_phi, vel.v_z))
+    assert all(map(aligned, velocity(state)))
     assert aligned(d_dr(state.u1).values) and aligned(d_dz(state.u1).values)
 
     # the manufactured forcing: its sampled factors, the axpy scratch and

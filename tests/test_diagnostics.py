@@ -334,15 +334,16 @@ def test_instantaneous_norms_are_norm_l2(seed):
 
 
 def test_instantaneous_allocates_few_full_size_arrays(grid64, traced_peak):
-    # the integrands live in the grid's workspace; what is left is the
-    # velocity and one radial derivative (about 3.1 full-size arrays
-    # measured at 64^2, against 15.1 when every operation allocated)
+    # the velocity and the integrands live in the grid's workspace; what
+    # is left is the one d_dr(omega1) wrapper output, which perfbench's
+    # tracer needs (about 1.15 full-size arrays measured at 64^2, against
+    # 3.1 when the velocity was allocated and 15.1 when every operation was)
     rng = np.random.default_rng(7)
     fields = [ScalarField(grid64, rng.standard_normal((64, 64)), EVEN) for _ in range(3)]
     state = State(u1=fields[0], omega1=fields[1], psi1=fields[2], t=0.0)
     dg.instantaneous(state, 4)
     full = grid64.nr * grid64.nz * 8
-    assert traced_peak(lambda: dg.instantaneous(state, 4)) <= 3.5 * full
+    assert traced_peak(lambda: dg.instantaneous(state, 4)) <= 1.5 * full
 
 
 def test_instantaneous_rejects_overflow(grid16):

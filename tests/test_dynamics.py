@@ -27,10 +27,10 @@ from axns.grid import (
     make_grid,
     modified_laplacian,
 )
-from axns.kinematics import State, reconstruct_velocity
+from axns.kinematics import State
 from axns.scenarios import Scenario, init_scenario, manufactured_solution
 from axns.storage import read_snapshot
-from conftest import make_state
+from conftest import make_state, velocity
 
 
 def swirl_cfg(grid_spec, nu=1.0, cfl=0.5, t_end=1.0):
@@ -268,7 +268,7 @@ def test_stable_dt_advective_limit():
     psi = field_from_function(g, lambda r, z: 5.0 + 0 * r, EVEN)
     state = make_state(g, psi1=psi)
     cfg = SolverConfig(nu=1e-6, cfl=0.5, t_end=100.0, grid=spec)
-    vz_max = float(np.max(np.abs(reconstruct_velocity(state).v_z.values)))
+    vz_max = float(np.max(np.abs(velocity(state)[1])))
     dt = stable_dt(state, cfg)
     assert math.isclose(dt, 0.5 * g.dz / vz_max, rel_tol=1e-12)
 
@@ -280,11 +280,11 @@ def test_stable_dt_matches_reconstructed_velocity_guard(grid16x12, nu):
     state = random_state(grid16x12, seed=43, t=0.2)
     cfg = SolverConfig(nu=nu, cfl=0.5, t_end=1.0, grid=grid16x12.spec)
     g = grid16x12
-    vel = reconstruct_velocity(state)
+    v_r, v_z = velocity(state)
     guards = [
         (g.dr * g.dr * g.dz * g.dz) / (2.0 * nu * (g.dr * g.dr + g.dz * g.dz)),
-        g.dr / float(np.max(np.abs(vel.v_r.values))),
-        g.dz / float(np.max(np.abs(vel.v_z.values))),
+        g.dr / float(np.max(np.abs(v_r))),
+        g.dz / float(np.max(np.abs(v_z))),
     ]
     want = min(0.5 * min(guards), cfg.t_end - state.t)
     assert stable_dt(state, cfg) == want

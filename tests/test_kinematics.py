@@ -19,14 +19,9 @@ from axns.grid import (
     norm_l2,
     zeros_field,
 )
-from axns.kinematics import (
-    State,
-    divergence_residual,
-    reconstruct_velocity,
-    velocity_values,
-)
+from axns.kinematics import State, divergence_residual, reconstruct_velocity
 from axns.verify import bump_field, random_bump_terms
-from conftest import make_state
+from conftest import make_state, velocity
 
 
 def test_state_validation(grid16, grid32):
@@ -46,15 +41,8 @@ def test_state_validation(grid16, grid32):
 
 
 def test_zero_state_reconstructs_to_zero(grid16):
-    vel = reconstruct_velocity(make_state(grid16))
-    for f in (vel.v_r, vel.v_phi, vel.v_z):
-        assert np.max(np.abs(f.values)) == 0.0
-
-
-def test_reconstruct_parities(grid16):
-    vel = reconstruct_velocity(make_state(grid16))
-    assert vel.v_r.parity == ODD and vel.v_phi.parity == ODD
-    assert vel.v_z.parity == EVEN
+    for v in velocity(make_state(grid16)):
+        assert np.max(np.abs(v)) == 0.0
 
 
 def test_constant_stream_function(grid32):
@@ -62,17 +50,11 @@ def test_constant_stream_function(grid32):
     # vanish at the wall, so the Dirichlet ghost garbles only ring nr-1.
     c = 0.7
     psi = field_from_function(grid32, lambda r, z: c + 0 * r, EVEN)
-    vel = reconstruct_velocity(make_state(grid32, psi1=psi))
-    assert np.max(np.abs(vel.v_r.values)) == 0.0
-    assert np.allclose(vel.v_z.values[:-1], 2 * c, rtol=1e-13)
-    assert divergence_residual(vel) < 1e-10
-
-
-def test_swirl_scaling(grid32):
-    u = field_from_function(grid32, lambda r, z: 1.5 + 0 * r, EVEN)
-    vel = reconstruct_velocity(make_state(grid32, u1=u))
-    want = 1.5 * grid32.r[:, None] * np.ones((1, grid32.nz))
-    assert np.allclose(vel.v_phi.values, want, rtol=1e-14)
+    state = make_state(grid32, psi1=psi)
+    v_r, v_z = velocity(state)
+    assert np.max(np.abs(v_r)) == 0.0
+    assert np.allclose(v_z[:-1], 2 * c, rtol=1e-13)
+    assert divergence_residual(state) < 1e-10
 
 
 def test_single_mode_stream(grid64):
@@ -81,40 +63,38 @@ def test_single_mode_stream(grid64):
     k = 2 * np.pi
     a = lambda r: np.exp(-((r / 0.4) ** 2))
     psi = field_from_function(grid64, lambda r, z: np.sin(k * z) * a(r), EVEN)
-    vel = reconstruct_velocity(make_state(grid64, psi1=psi))
+    v_r, _ = velocity(make_state(grid64, psi1=psi))
     ktil = math.sin(k * grid64.dz) / grid64.dz
     rr = grid64.r[:, None]
     zz = grid64.z[None, :]
     want = -rr * ktil * np.cos(k * zz) * a(rr)
-    assert np.allclose(vel.v_r.values, want, atol=1e-13)
+    assert np.allclose(v_r, want, atol=1e-13)
     cont = -rr * k * np.cos(k * zz) * a(rr)
-    assert np.max(np.abs(vel.v_r.values - cont)) < 0.7 * (k * grid64.dz) ** 2
+    assert np.max(np.abs(v_r - cont)) < 0.7 * (k * grid64.dz) ** 2
 
 
 def test_velocity_values_aliased_output_is_byte_equal(rng):
-    # dpsi_dz aliased to v_r (as reconstruct_velocity passes it) changes no
-    # bit of v_r or v_z, and both match the formulas written out by hand
+    # dpsi_dz aliased to v_r changes no bit of v_r or v_z, the caller's
+    # dpsi_dz receives d_dz(psi1), and both components match the formulas
+    # written out by hand, at numpy's alignment and at grid.empty's
     g = make_grid(GridSpec(R=1.0, Lz=1.3, nr=16, nz=12))
     psi = ScalarField(g, rng.standard_normal((g.nr, g.nz)), EVEN)
     state = make_state(g, psi1=psi)
     dpz, v_r, v_z, a_r, a_z = (np.empty((g.nr, g.nz)) for _ in range(5))
-    velocity_values(g, psi.values, dpz, v_r, v_z)
-    velocity_values(g, psi.values, a_r, a_r, a_z)
-    vel = reconstruct_velocity(state)
-    # the caller's buffer receives d_dz(psi1) and changes no velocity bit
+    reconstruct_velocity(g, psi.values, dpz, v_r, v_z)
+    reconstruct_velocity(g, psi.values, a_r, a_r, a_z)
     buf = np.empty((g.nr, g.nz))
-    shared = reconstruct_velocity(state, buf)
+    shared, aliased = velocity(state, buf), velocity(state)
     r = g.r[:, None]
     assert dpz.tobytes() == d_dz(psi).values.tobytes() == buf.tobytes()
-    for got in (a_r, vel.v_r.values, shared.v_r.values, -r * d_dz(psi).values):
+    for got in (a_r, shared[0], aliased[0], -r * d_dz(psi).values):
         assert got.tobytes() == v_r.tobytes()
-    for got in (a_z, vel.v_z.values, shared.v_z.values, 2.0 * psi.values + r * d_dr(psi).values):
+    for got in (a_z, shared[1], aliased[1], 2.0 * psi.values + r * d_dr(psi).values):
         assert got.tobytes() == v_z.tobytes()
-    assert shared.v_phi.values.tobytes() == vel.v_phi.values.tobytes()
 
 
 def test_divergence_zero_cases(grid16):
-    assert divergence_residual(reconstruct_velocity(make_state(grid16))) == 0.0
+    assert divergence_residual(make_state(grid16)) == 0.0
 
 
 def test_divergence_second_order(rng):
@@ -123,7 +103,7 @@ def test_divergence_second_order(rng):
     for n in (48, 96):
         g = make_grid(GridSpec(R=1.0, Lz=1.0, nr=n, nz=n))
         psi = bump_field(terms, g)
-        errs.append(divergence_residual(reconstruct_velocity(make_state(g, psi1=psi))))
+        errs.append(divergence_residual(make_state(g, psi1=psi)))
     assert math.log2(errs[0] / errs[1]) > 1.8
 
 
@@ -136,9 +116,9 @@ def curl_consistency_residual(state):
     ring artifact.
     """
     g = state.grid
-    vel = reconstruct_velocity(state)
+    v_r, v_z = velocity(state)
     res = g.r[:, None] * state.omega1.values - (
-        d_dz(vel.v_r).values - d_dr(vel.v_z).values
+        d_dz(ScalarField(g, v_r, ODD)).values - d_dr(ScalarField(g, v_z, EVEN)).values
     )
     res[-1, :] = 0.0
     return norm_l2(ScalarField(g, res, ODD))
@@ -153,8 +133,10 @@ def test_curl_consistency_operator_chain(grid32, rng):
     # the identity then holds to rounding
     terms = random_bump_terms(rng, R=1.0)
     psi = bump_field(terms, grid32)
-    vel = reconstruct_velocity(make_state(grid32, psi1=psi))
-    curl = d_dz(vel.v_r).values - d_dr(vel.v_z).values
+    v_r, v_z = velocity(make_state(grid32, psi1=psi))
+    curl = (
+        d_dz(ScalarField(grid32, v_r, ODD)).values - d_dr(ScalarField(grid32, v_z, EVEN)).values
+    )
     om = ScalarField(grid32, curl / grid32.r[:, None], EVEN)
     res = curl_consistency_residual(make_state(grid32, om1=om, psi1=psi))
     assert res <= 1e-8 * max(norm_l2(om), 1e-30)
@@ -175,9 +157,8 @@ def test_curl_consistency_second_order(rng):
 def test_weighted_quantities_finite_at_axis(grid16, seed):
     rng = np.random.default_rng(seed)
     psi = ScalarField(grid16, rng.standard_normal((grid16.nr, grid16.nz)), EVEN)
-    u1 = ScalarField(grid16, rng.standard_normal((grid16.nr, grid16.nz)), EVEN)
-    vel = reconstruct_velocity(make_state(grid16, u1=u1, psi1=psi))
+    v_r, _ = velocity(make_state(grid16, psi1=psi))
     vr_over_r = -d_dz(psi).values
     assert np.all(np.isfinite(vr_over_r))
     # v_r = r * (v_r / r) holds ring by ring, axis ring included
-    assert np.allclose(vel.v_r.values, grid16.r[:, None] * vr_over_r, rtol=1e-13)
+    assert np.allclose(v_r, grid16.r[:, None] * vr_over_r, rtol=1e-13)
